@@ -5,8 +5,10 @@ Each test prints one `[acceptance] criterion N: PASS/FAIL` line (visible with
 runs are session fixtures shared across criteria.
 """
 
+import io
 import math
 import time
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +43,19 @@ def l2_code():
 @pytest.fixture(scope="session")
 def l3_code():
     return sw.build_code(sw.get_code_spec("L3"), seed=DESIGN_SEED)
+
+
+def _alist_crc32(h) -> str:
+    buf = io.StringIO()
+    sw.save_alist(h, buf)
+    return f"{zlib.crc32(buf.getvalue().encode()):08x}"
+
+
+def test_l2_l3_alist_crc32_at_design_seed(l2_code, l3_code):
+    # Pinned so that a change to construction or alist output cannot move the
+    # codes the criteria below measure without being noticed.
+    assert _alist_crc32(l2_code) == "3cc6df31"
+    assert _alist_crc32(l3_code) == "3b82f9da"
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Quantized belief propagation: quantizer, correction table, decoding."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import swldpc as sw
 from swldpc.bp import _box_table, _table_for
-from oracles import boxplus_ref, correction_table_ref, quantize_ref
+from oracles import boxplus_ref, correction_table_ref, gf2_syndrome, quantize_ref
 
 
 class TestQuantizer:
@@ -262,3 +263,117 @@ class TestHardSyndrome:
         assert s.any()
         # Flipping one systematic bit trips exactly its column's checks.
         assert s.sum() == int(small_code.column_weights()[0])
+
+    def test_random_words_match_dense_oracle(self, toy_code, small_code, rng):
+        # Words that are not codewords: every check's parity must agree with
+        # the dense matrix product, not only the all-satisfied case.
+        for h in (toy_code, small_code):
+            dense = h.to_dense()
+            for _ in range(20):
+                c = rng.integers(0, 2, h.n_cols).astype(np.uint8)
+                want = gf2_syndrome(dense, c)
+                assert want.any()
+                assert np.array_equal(sw.hard_syndrome(h, c), want)
+
+
+# sha256 digests of the outputs below, computed before the padded edge
+# layout replaced the decoder's index arrays; any rewrite must match them.
+GOLDEN = {
+    "desk_code-table": "a68cf1855b2b3ec4fa42850dd647e22602552f5c77f90130a8b44a4f90553702",
+    "desk_code-minsum": "61c53e7fafb63d427beed1fdeab7163d0b106c85ea42f8d4a5a3635292802786",
+    "irregular_code-table": "266f08d71bd4d845aeb380cddabaabc85ec7489735f01b8c2bc24d68ca2ba95f",
+    "irregular_code-minsum": "ab86c1fb36f5e0167c19f101cab2003a78cc2b6638b1123adda0d6237a8d0e40",
+    "small-table": "b0cb170de1c881ed1746bd0c66dfafffa513d2fd80c87bcf5200979c8bbe4135",
+    "small-minsum": "51d6751928f73821b08f5b1d32045afa0fb85cd63fe8358f6bdf24ebef53508b",
+    "joint": "f2aa43dd4c260acc547aa899af55c6d30aaa60559380adb0b2002865d3fe251b",
+    "sweep-csv": "c2718def2db7cb552fcf04fbccf4eb4be22c731f0e5d8d2999f09cf1b45c87ca",
+}
+
+
+def _digest(*items) -> bytes:
+    """Hex sha256 over integer arrays (as int64) and the repr of everything else."""
+    md = hashlib.sha256()
+    for item in items:
+        if isinstance(item, np.ndarray):
+            md.update(np.ascontiguousarray(item, dtype=np.int64).tobytes())
+        else:
+            md.update(repr(item).encode())
+        md.update(b"|")
+    return md.hexdigest().encode()
+
+
+def _outcome_digest(out) -> bytes:
+    return _digest(
+        out.hard_bits, out.iterations_used, out.syndrome_ok, out.posterior.values, out.c2v
+    )
+
+
+class TestGoldenOutputs:
+    """Digests of decoder and sweep outputs on fixed frames, pinned so that a
+    rewrite of the edge layout or the kernels must reproduce them bit for bit."""
+
+    P = np.linspace(0.03, 0.09, 40)
+
+    def _frames(self, h, every=1):
+        for i, p in enumerate(self.P[::every]):
+            rng = np.random.default_rng(np.random.SeedSequence((3003, i)))
+            x = rng.integers(0, 2, h.k).astype(np.uint8)
+            y = (x ^ (rng.random(h.k) < p)).astype(np.uint8)
+            yield float(p), x, y, sw.encode(h, x)
+
+    @pytest.fixture(scope="class")
+    def irregular_code(self):
+        # fractional dv: rows of weight 8, 9 and 10
+        spec = sw.CodeSpec(id="R256", k=256, n=384, dv_target=3.3, design_p=0.05)
+        return sw.build_code(spec, seed=5)
+
+    @pytest.mark.parametrize("code", ["desk_code", "irregular_code"])
+    @pytest.mark.parametrize("kernel", ["table", "minsum"])
+    def test_bp_decode_cold_and_warm(self, request, code, kernel):
+        h = request.getfixturevalue(code)
+        md = hashlib.sha256()
+        for p, x, y, z in self._frames(h):
+            cold_init = sw.init_from_side_info(y, z, math.log(0.05 / 0.95))
+            cold = sw.bp_decode(h, cold_init, max_local_iters=12, kernel=kernel)
+            warm_init = sw.init_from_side_info(y, z, math.log(p / (1 - p)))
+            warm = sw.bp_decode(h, warm_init, kernel=kernel, c2v=cold.c2v)
+            md.update(_outcome_digest(cold) + _outcome_digest(warm))
+        assert md.hexdigest() == GOLDEN[f"{code}-{kernel}"]
+
+    @pytest.mark.parametrize("kernel", ["table", "minsum"])
+    def test_bp_decode_small_random_codes(self, kernel):
+        # Codes of 4 to 39 rows with uneven row weights, stopped after 1, 2
+        # and 7 rounds: a pad leaking into a row's parity shows here first.
+        rng = np.random.default_rng(2024)
+        md = hashlib.sha256()
+        for i in range(40):
+            k = int(rng.integers(8, 40))
+            m = int(rng.integers(4, k + 1))
+            dv = round(float(rng.uniform(1.0, min(3.5, m - 0.5))), 2)
+            spec = sw.CodeSpec(id=f"r{i}", k=k, n=k + m, dv_target=dv, design_p=0.1)
+            h = sw.build_code(spec, seed=i)
+            for p, x, y, z in self._frames(h, every=4):
+                init = sw.init_from_side_info(y, z, math.log(0.05 / 0.95))
+                for iters in (1, 2, 7):
+                    md.update(_outcome_digest(
+                        sw.bp_decode(h, init, max_local_iters=iters, kernel=kernel)
+                    ))
+        assert md.hexdigest() == GOLDEN[f"small-{kernel}"]
+
+    def test_joint_decode(self, desk_code):
+        md = hashlib.sha256()
+        for p, x, y, z in self._frames(desk_code):
+            res = sw.joint_decode(desk_code, z, y, design_p=0.05)
+            trace = [(r.index, r.alpha, r.p_hat, r.syndrome_ok) for r in res.final_state.trace]
+            md.update(_digest(
+                res.x_hat, res.success, res.global_iters_used, res.local_iters_total,
+                res.final_state.alpha, res.final_state.p_hat, trace,
+            ))
+        assert md.hexdigest() == GOLDEN["joint"]
+
+    def test_sweep_csv(self):
+        cfg = sw.SweepConfig(
+            codes=["D1"], points=[(0.04, 0.0), (0.07, 0.01)], frames=24, seed=3003
+        )
+        csv = sw.emit_report(sw.run_sweep(cfg, workers=1))
+        assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN["sweep-csv"]

@@ -1,6 +1,7 @@
 """Code registry, PEG construction, staircase invariants, alist i/o."""
 
 import io
+import zlib
 
 import numpy as np
 import pytest
@@ -271,6 +272,14 @@ class TestAlist:
         body = "\n".join(text.splitlines()[1:]) + "\n"
         with pytest.raises(sw.AlistFormatError):
             sw.load_alist(io.StringIO(body))
+
+    @pytest.mark.parametrize("cid,crc", [("D1", "4510b7aa"), ("D2", "784ce254")])
+    def test_registry_alist_crc32_at_seed_0(self, cid, crc):
+        # The alist bytes of a registry code are part of its identity: a
+        # .swz file records their CRC32, so they must never drift.
+        buf = io.StringIO()
+        sw.save_alist(sw.build_code(sw.get_code_spec(cid), seed=0), buf)
+        assert f"{zlib.crc32(buf.getvalue().encode()):08x}" == crc
 
     def test_load_regenerates_rate(self, desk_code):
         buf = io.StringIO()
