@@ -60,8 +60,10 @@ class DecodeOutcome:
     """Result of one belief-propagation run.
 
     c2v holds the check-to-variable messages of the last round, one per edge
-    in the decode plan's row-major order (all zero when no round ran from a
-    cold start); passing it back to bp_decode warm-starts the next run.
+    in row-major order, the order of np.concatenate(h.rows) (all zero when no
+    round ran from a cold start); passing it back to bp_decode warm-starts
+    the next run. Inside bp_decode the messages live in the code's padded
+    EdgeLayout and are converted through its valid mask on entry and exit.
     """
 
     hard_bits: np.ndarray
@@ -134,9 +136,7 @@ def init_from_side_info(
 def hard_syndrome(h: SparseParityMatrix, bits) -> np.ndarray:
     """Parity of every check for a full hard-decision word of length n."""
     bits = as_bit_array(bits, h.n_cols, "codeword")
-    plan = h.decode_plan()
-    csum = np.concatenate([[0], np.cumsum(bits[plan.edge_col], dtype=np.int64)])
-    return ((csum[plan.row_ptr[1:]] - csum[plan.row_ptr[:-1]]) & 1).astype(np.uint8)
+    return h.decode_plan().row_parity(np.append(bits, np.uint8(0)))
 
 
 def _box_table(a, b, table, tmax):
@@ -176,12 +176,13 @@ def bp_decode(
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     if init.values.size != h.n_cols:
         raise ValueError(f"init has {init.values.size} values for n={h.n_cols}")
-    plan = h.decode_plan()
+    lay = h.decode_plan()
     s_max = init.s_max
     if c2v is not None:
         c2v = np.asarray(c2v, dtype=np.int32)
-        if c2v.shape != (plan.n_edges,):
-            raise ValueError(f"c2v has shape {c2v.shape} for {plan.n_edges} edges")
+        n_edges = np.count_nonzero(lay.valid)
+        if c2v.shape != (n_edges,):
+            raise ValueError(f"c2v has shape {c2v.shape} for {n_edges} edges")
         if np.abs(c2v, dtype=np.int64).max(initial=0) > s_max:
             raise ValueError(f"c2v magnitudes must not exceed s_max={s_max}")
     ident = np.int32(2 * s_max)
@@ -194,60 +195,56 @@ def bp_decode(
     else:
         box = _box_minsum
 
-    lam0 = -init.values.astype(np.int64)  # internal domain: positive favors bit 0
+    # internal domain: positive favors bit 0; entry n is the sentinel column
+    lam0 = np.append(-init.values.astype(np.int64), 0)
+    pads = ~lay.valid
+    d_max = lay.cols.shape[0]
 
     def variable_pass(c2v):
-        csum = np.concatenate([[0], np.cumsum(c2v[plan.by_col], dtype=np.int64)])
-        col_sum = csum[plan.col_ptr[1:]] - csum[plan.col_ptr[:-1]]
-        tot = lam0 + col_sum
-        v2c = np.clip(tot[plan.edge_col] - c2v, -s_max, s_max).astype(np.int32)
-        assert np.abs(v2c).max(initial=0) <= s_max
+        # float64 column sums are exact: each is at most d_v * s_max << 2**53
+        col_sum = np.bincount(lay.cols.ravel(), weights=c2v.ravel(), minlength=lam0.size)
+        tot = lam0 + col_sum.astype(np.int64)
+        tot[-1] = 0  # the sentinel collects the pads' messages; it must read as bit 0
+        v2c = np.clip(tot[lay.cols] - c2v, -s_max, s_max).astype(np.int32)
+        v2c[pads] = ident  # |m +- 2*s_max| > tmax: both kernels return m exactly
         return tot, v2c
 
-    def checks_pass() -> bool:
-        csum = np.concatenate([[0], np.cumsum(bits[plan.edge_col], dtype=np.int64)])
-        seg = (csum[plan.row_ptr[1:]] - csum[plan.row_ptr[:-1]]) & 1
-        return not seg.any()
-
-    if c2v is None:
-        c2v = np.zeros(plan.n_edges, dtype=np.int32)
-        tot = lam0.copy()
-        v2c = lam0[plan.edge_col].astype(np.int32)
-    else:
-        tot, v2c = variable_pass(c2v)
+    # messages are padded (d_max, m) arrays inside, row-major edge lists outside
+    padded = np.zeros(lay.cols.T.shape, dtype=np.int32)
+    if c2v is not None:
+        padded[lay.valid.T] = c2v
+    c2v = np.ascontiguousarray(padded.T)
+    tot, v2c = variable_pass(c2v)
     bits = (tot < 0).astype(np.uint8)
 
     iterations = 0
-    ok = checks_pass()
+    ok = not lay.row_parity(bits).any()
     if not ok:
         for iterations in range(1, max_local_iters + 1):
-            fw = v2c.copy()
-            for idx in plan.scan_fw:
-                fw[idx] = box(fw[idx - 1], v2c[idx])
-            bw = v2c.copy()
-            for idx in plan.scan_bw:
-                bw[idx] = box(bw[idx + 1], v2c[idx])
-            left = np.full(plan.n_edges, ident, dtype=np.int32)
-            left[plan.not_first] = fw[plan.not_first - 1]
-            right = np.full(plan.n_edges, ident, dtype=np.int32)
-            right[plan.not_last] = bw[plan.not_last + 1]
+            # exclusive scans: left[t] reduces a row's messages before t, right[t] after t
+            left = np.full_like(v2c, ident)
+            for t in range(1, d_max):
+                left[t] = box(left[t - 1], v2c[t - 1])
+            right = np.full_like(v2c, ident)
+            for t in range(d_max - 2, -1, -1):
+                right[t] = box(right[t + 1], v2c[t + 1])
             c2v = np.clip(box(left, right), -s_max, s_max).astype(np.int32)
             tot, v2c = variable_pass(c2v)
             bits = (tot < 0).astype(np.uint8)
-            if checks_pass():
+            if not lay.row_parity(bits).any():
                 ok = True
                 break
 
     posterior = LlrqVector(
-        np.clip(-tot, -s_max, s_max).astype(np.int32),
+        np.clip(-tot[:-1], -s_max, s_max).astype(np.int32),
         q=init.q,
         s_max=s_max,
         k=init.k,
     )
     return DecodeOutcome(
-        hard_bits=bits,
+        hard_bits=bits[:-1],
         posterior=posterior,
         iterations_used=iterations,
         syndrome_ok=bool(ok),
-        c2v=c2v,
+        c2v=c2v.T[lay.valid.T],
     )

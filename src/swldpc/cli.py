@@ -18,15 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .codes import (
-    AlistFormatError,
-    CodeSpec,
-    ConstructionError,
-    SparseParityMatrix,
-    build_code,
-    load_alist,
-    save_alist,
-)
+from .bp import KERNELS
+from .codes import CodeSpec, SparseParityMatrix, build_code, load_alist, save_alist
 from .encoding import encode
 from .joint import joint_decode, non_iterative_decode
 from .sources import CorrelationConfig, generate_pair
@@ -74,10 +67,6 @@ def _write_bit_frames(path: str, frames: np.ndarray, fmt: str) -> None:
         Path(path).write_bytes(raw)
 
 
-def _load_code(path: str) -> SparseParityMatrix:
-    return load_alist(path)
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -96,7 +85,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    h = _load_code(args.code)
+    h = load_alist(args.code)
     x = _read_bit_frames(args.infile, h.k, args.format)
     z = np.stack([encode(h, frame) for frame in x])
     header = _HEADER.pack(PARITY_MAGIC, h.k, h.n, code_content_hash(h))
@@ -126,7 +115,7 @@ def _read_parity(path: str, h: SparseParityMatrix) -> np.ndarray:
 
 
 def _cmd_decode(args) -> int:
-    h = _load_code(args.code)
+    h = load_alist(args.code)
     z_frames = _read_parity(args.parity, h)
     y_frames = _read_bit_frames(args.side_info, h.k, args.format)
     if z_frames.shape[0] != y_frames.shape[0]:
@@ -248,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--design-p", type=float, default=None, dest="design_p")
     dec.add_argument("--max-global", type=int, default=5)
     dec.add_argument("--max-local", type=int, default=50)
-    dec.add_argument("--kernel", choices=["table", "minsum"], default="table")
+    dec.add_argument("--kernel", choices=KERNELS, default="table")
     dec.add_argument("--no-global-iter", action="store_true")
     dec.add_argument("--trace", default=None, help="write per-frame estimate traces as JSON")
     dec.add_argument("--format", choices=["bin", "hex"], default="bin")
@@ -280,13 +269,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ValueError,
-        ConstructionError,
-        AlistFormatError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # parse and construction errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

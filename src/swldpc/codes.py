@@ -7,6 +7,11 @@ fixed double-diagonal "staircase": row 0 holds a single one in column k, and
 every later row i holds ones in columns k+i-1 and k+i. Hz is unit lower
 bidiagonal, so H always has full row rank and parity bits can be computed by
 one forward pass.
+
+Encoding, the hard syndrome and belief propagation all walk one cached
+EdgeLayout per code: H's column indices as a padded (d_max, m) matrix whose
+pads point at a sentinel column n. Its row_parity method is the one
+row-parity routine of the package.
 """
 
 from __future__ import annotations
@@ -120,73 +125,31 @@ def get_code_spec(code_id: str) -> CodeSpec:
         raise ValueError(f"unknown code id {code_id!r}; known: {sorted(CODE_REGISTRY)}") from None
 
 
-class _EncodePlan:
-    """Row-major view of the systematic entries, for streaming parity sums."""
+class EdgeLayout:
+    """The Tanner graph's edges as one padded column-index matrix.
 
-    __slots__ = ("col", "ptr")
-
-    def __init__(self, mat: "SparseParityMatrix"):
-        sys_rows = [r[r < mat.k] for r in mat.rows]
-        self.col = (
-            np.concatenate(sys_rows).astype(np.int64)
-            if sys_rows
-            else np.empty(0, np.int64)
-        )
-        lengths = np.fromiter((len(r) for r in sys_rows), dtype=np.int64, count=mat.n_rows)
-        self.ptr = np.concatenate([[0], np.cumsum(lengths)])
-
-
-class _DecodePlan:
-    """Edge arrays for flooding message passing over the full Tanner graph.
-
-    Edges are stored row-major; by_col permutes them into column-major order.
-    scan_fw / scan_bw hold, per depth level, the row-major edge positions whose
-    running check-node reduction is computed at that level.
+    cols has shape (d_max, m), transposed so that one step of a scan along
+    every row at once reads one contiguous array: cols[t, i] is the column of
+    the t-th one of row i, in increasing column order. Rows with fewer than d_max ones are padded
+    with the sentinel column n, which reads 0 as a bit and whose sums are
+    discarded. valid = cols < n marks the real edges; valid.T selects them in
+    row-major order, the order of H's edges outside this class.
     """
 
-    __slots__ = (
-        "n_edges",
-        "edge_col",
-        "row_ptr",
-        "by_col",
-        "col_ptr",
-        "scan_fw",
-        "scan_bw",
-        "first_idx",
-        "last_idx",
-        "not_first",
-        "not_last",
-    )
+    __slots__ = ("cols", "valid")
 
     def __init__(self, mat: "SparseParityMatrix"):
-        rows = mat.rows
-        deg = np.fromiter((len(r) for r in rows), dtype=np.int64, count=mat.n_rows)
-        self.edge_col = (
-            np.concatenate(rows).astype(np.int32) if rows else np.empty(0, np.int32)
-        )
-        self.n_edges = int(self.edge_col.size)
-        self.row_ptr = np.concatenate([[0], np.cumsum(deg)]).astype(np.int64)
+        deg = mat.row_weights()
+        real = np.arange(deg.max()) < deg[:, None]
+        cols = np.full(real.shape, mat.n_cols, dtype=np.intp)
+        cols[real] = np.concatenate(mat.rows)
+        self.cols = np.ascontiguousarray(cols.T)
+        self.valid = self.cols < mat.n_cols
 
-        self.by_col = np.argsort(self.edge_col, kind="stable").astype(np.int64)
-        counts = np.bincount(self.edge_col, minlength=mat.n_cols)
-        self.col_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-
-        max_deg = int(deg.max()) if len(deg) else 0
-        self.scan_fw = []
-        self.scan_bw = []
-        for t in range(1, max_deg):
-            sel = np.flatnonzero(deg > t)
-            self.scan_fw.append((self.row_ptr[sel] + t).astype(np.int64))
-            self.scan_bw.append((self.row_ptr[sel + 1] - 1 - t).astype(np.int64))
-
-        self.first_idx = self.row_ptr[:-1].copy()
-        self.last_idx = (self.row_ptr[1:] - 1).copy()
-        mask = np.ones(self.n_edges, bool)
-        mask[self.first_idx] = False
-        self.not_first = np.flatnonzero(mask)
-        mask[:] = True
-        mask[self.last_idx] = False
-        self.not_last = np.flatnonzero(mask)
+    def row_parity(self, bits_ext: np.ndarray) -> np.ndarray:
+        """Parity of every row for a 0/1 word of length n + 1 whose last
+        entry, the sentinel column, is 0."""
+        return (bits_ext[self.cols].sum(0) & 1).astype(np.uint8)
 
 
 @dataclass(eq=False)
@@ -197,7 +160,8 @@ class SparseParityMatrix:
     increasing. The first k columns are systematic; the trailing
     n_cols - k columns always form the staircase, which guarantees full
     row rank. Instances are treated as immutable once built and may be
-    shared between threads read-only.
+    shared between threads read-only. decode_plan() (alias encode_plan())
+    returns the code's EdgeLayout, built on first use and then cached.
     """
 
     n_rows: int
@@ -205,8 +169,7 @@ class SparseParityMatrix:
     k: int
     rows: list
     design_p: float | None = None
-    _encode_plan: _EncodePlan | None = field(default=None, repr=False, compare=False)
-    _decode_plan: _DecodePlan | None = field(default=None, repr=False, compare=False)
+    _layout: EdgeLayout | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.rows = [np.asarray(r, dtype=np.int32) for r in self.rows]
@@ -297,17 +260,15 @@ class SparseParityMatrix:
         off = gram.row != gram.col
         return bool(not np.any(gram.data[off] > 1))
 
-    # -- cached edge plans ---------------------------------------------------
+    # -- cached edge layout --------------------------------------------------
 
-    def encode_plan(self) -> _EncodePlan:
-        if self._encode_plan is None:
-            self._encode_plan = _EncodePlan(self)
-        return self._encode_plan
+    def decode_plan(self) -> EdgeLayout:
+        """The code's EdgeLayout, built on first use and cached."""
+        if self._layout is None:
+            self._layout = EdgeLayout(self)
+        return self._layout
 
-    def decode_plan(self) -> _DecodePlan:
-        if self._decode_plan is None:
-            self._decode_plan = _DecodePlan(self)
-        return self._decode_plan
+    encode_plan = decode_plan
 
 
 # -- construction -----------------------------------------------------------

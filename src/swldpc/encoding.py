@@ -31,11 +31,9 @@ def encode(h: SparseParityMatrix, x) -> np.ndarray:
     z[0] is the parity of row 0's systematic entries; each later z[i] adds
     row i's systematic parity onto z[i-1] (all mod 2).
     """
-    x = as_bit_array(x, h.k, "source block")
-    plan = h.encode_plan()
-    csum = np.concatenate([[0], np.cumsum(x[plan.col], dtype=np.int64)])
-    row_parity = (csum[plan.ptr[1:]] - csum[plan.ptr[:-1]]) & 1
-    z = np.cumsum(row_parity, dtype=np.int64) & 1
+    x_ext = np.zeros(h.n_cols + 1, dtype=np.uint8)  # parity columns read 0
+    x_ext[: h.k] = as_bit_array(x, h.k, "source block")
+    z = np.cumsum(h.encode_plan().row_parity(x_ext)) & 1
     return z.astype(np.uint8)
 
 

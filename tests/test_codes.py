@@ -177,10 +177,15 @@ class TestConstruction:
         weights = h.column_weights()
         assert weights.sum() == sum(len(r) for r in h.rows)
         assert h.row_weights().tolist() == [len(r) for r in h.rows]
-        plan = h.decode_plan()
-        assert plan.edge_col.size == sum(len(r) for r in h.rows)
-        # by_col must be a permutation of the edge indices.
-        assert np.array_equal(np.sort(plan.by_col), np.arange(plan.edge_col.size))
+        lay = h.decode_plan()
+        assert lay is h.encode_plan()
+        assert lay.cols.shape == (h.row_weights().max(), h.n_rows)
+        assert np.array_equal(lay.valid, lay.cols < h.n_cols)
+        # Every edge exactly once, in row-major order; every pad on the sentinel.
+        assert np.array_equal(lay.cols.T[lay.valid.T], np.concatenate(h.rows))
+        assert (lay.cols[~lay.valid] == h.n_cols).all()
+        for i, r in enumerate(h.rows):
+            assert lay.valid[: r.size, i].all() and not lay.valid[r.size :, i].any()
 
 
 class TestAlist:
