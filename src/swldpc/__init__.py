@@ -5,6 +5,7 @@ the decoder reconstructs it from that block plus a correlated side-information
 sequence, estimating the actual correlation while it iterates.
 """
 
+from ._native import backend
 from .codes import (
     CODE_REGISTRY,
     AlistFormatError,

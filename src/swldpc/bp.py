@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .codes import SparseParityMatrix
 from .encoding import as_bit_array
 
@@ -171,6 +172,9 @@ def bp_decode(
     and init's channel values, so new channel values take effect at once and
     the hard decisions are tested before any further round. Without c2v the
     run starts from the channel values alone.
+
+    The loop runs in the compiled kernel when swldpc.backend() is "c" and in
+    numpy otherwise; both give the same outcome bit for bit.
     """
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
@@ -180,14 +184,35 @@ def bp_decode(
     s_max = init.s_max
     if c2v is not None:
         c2v = np.asarray(c2v, dtype=np.int32)
-        n_edges = np.count_nonzero(lay.valid)
+        n_edges = lay.edge_col.size
         if c2v.shape != (n_edges,):
             raise ValueError(f"c2v has shape {c2v.shape} for {n_edges} edges")
         if np.abs(c2v, dtype=np.int64).max(initial=0) > s_max:
             raise ValueError(f"c2v magnitudes must not exceed s_max={s_max}")
-    ident = np.int32(2 * s_max)
     table = _table_for(init.q)
     tmax = table.size - 1
+
+    dll = _native.lib()
+    if dll is not None:
+        iterations, ok, bits, post, c2v = _native.bp_run(
+            dll, lay, init.values, s_max, table if kernel == "table" else None,
+            max_local_iters, c2v,
+        )
+        return DecodeOutcome(
+            hard_bits=bits,
+            posterior=LlrqVector(post, q=init.q, s_max=s_max, k=init.k),
+            iterations_used=iterations,
+            syndrome_ok=ok,
+            c2v=c2v,
+        )
+
+    # Pads hold a box-plus identity P: box(x, P) == x for every x a scan can
+    # hold. Reductions of real messages stay within X = max(s_max, table[0]);
+    # P >= X + tmax + 1 keeps |x +- P| > tmax, where no correction applies,
+    # also after a row's pads are reduced with each other, which lowers P by
+    # at most table[0] per step.
+    d_max = lay.cols.shape[0]
+    ident = np.int32(max(s_max, int(table[0])) + tmax + 1 + d_max * int(table[0]))
 
     if kernel == "table":
         def box(a, b):
@@ -198,7 +223,6 @@ def bp_decode(
     # internal domain: positive favors bit 0; entry n is the sentinel column
     lam0 = np.append(-init.values.astype(np.int64), 0)
     pads = ~lay.valid
-    d_max = lay.cols.shape[0]
 
     def variable_pass(c2v):
         # float64 column sums are exact: each is at most d_v * s_max << 2**53
@@ -206,7 +230,7 @@ def bp_decode(
         tot = lam0 + col_sum.astype(np.int64)
         tot[-1] = 0  # the sentinel collects the pads' messages; it must read as bit 0
         v2c = np.clip(tot[lay.cols] - c2v, -s_max, s_max).astype(np.int32)
-        v2c[pads] = ident  # |m +- 2*s_max| > tmax: both kernels return m exactly
+        v2c[pads] = ident
         return tot, v2c
 
     # messages are padded (d_max, m) arrays inside, row-major edge lists outside

@@ -10,8 +10,9 @@ one forward pass.
 
 Encoding, the hard syndrome and belief propagation all walk one cached
 EdgeLayout per code: H's column indices as a padded (d_max, m) matrix whose
-pads point at a sentinel column n. Its row_parity method is the one
-row-parity routine of the package.
+pads point at a sentinel column n, and the same edges as a row-major list for
+the compiled kernels. Its row_parity method is the one row-parity routine of
+the package.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
+
+from . import _native
 
 __all__ = [
     "CodeSpec",
@@ -134,15 +136,22 @@ class EdgeLayout:
     with the sentinel column n, which reads 0 as a bit and whose sums are
     discarded. valid = cols < n marks the real edges; valid.T selects them in
     row-major order, the order of H's edges outside this class.
+
+    The compiled kernels read the same edges unpadded: edge_col lists every
+    column index in that row-major order and row i's edges are
+    edge_col[row_ptr[i]:row_ptr[i + 1]], both int32.
     """
 
-    __slots__ = ("cols", "valid")
+    __slots__ = ("cols", "valid", "row_ptr", "edge_col")
 
     def __init__(self, mat: "SparseParityMatrix"):
         deg = mat.row_weights()
         real = np.arange(deg.max()) < deg[:, None]
+        self.edge_col = np.concatenate(mat.rows).astype(np.int32)
+        self.row_ptr = np.zeros(mat.n_rows + 1, dtype=np.int32)
+        np.cumsum(deg, out=self.row_ptr[1:])
         cols = np.full(real.shape, mat.n_cols, dtype=np.intp)
-        cols[real] = np.concatenate(mat.rows)
+        cols[real] = self.edge_col
         self.cols = np.ascontiguousarray(cols.T)
         self.valid = self.cols < mat.n_cols
 
@@ -241,6 +250,8 @@ class SparseParityMatrix:
 
     def systematic_four_cycle_free(self) -> bool:
         """True when no two systematic columns share two rows."""
+        import scipy.sparse as sp  # here, not at import: it adds ~20 MB to every process
+
         rows_idx = []
         cols_idx = []
         for i, r in enumerate(self.rows):
@@ -313,10 +324,38 @@ def build_code(spec: CodeSpec, seed: int = 0, max_bfs_levels: int = 4) -> Sparse
     index. The seed only shuffles which columns carry which profile degree;
     placement itself is deterministic. For k >= 1000 the systematic subgraph
     comes out free of length-4 cycles.
+
+    Placement runs in the compiled kernel when swldpc.backend() is "c" and in
+    numpy otherwise; both place every edge identically.
     """
     k, m = spec.k, spec.m
     rng = np.random.default_rng(seed)
     degrees = _column_degrees(spec, rng)
+    dll = _native.lib()
+    if dll is None:
+        edge_chk = _place_edges(degrees, m, max_bfs_levels)
+    else:
+        edge_chk = _native.peg_place(dll, degrees, m, max_bfs_levels)
+        if edge_chk is None:
+            raise ConstructionError("an edge found no admissible check")
+
+    # each row's systematic columns in increasing order, then its stair
+    edge_var = np.repeat(np.arange(k, dtype=np.int32), degrees)
+    order = np.lexsort((edge_var, edge_chk))
+    sys_rows = np.split(edge_var[order], np.cumsum(np.bincount(edge_chk, minlength=m))[:-1])
+    rows = []
+    for i in range(m):
+        stair = [k] if i == 0 else [k + i - 1, k + i]
+        rows.append(np.concatenate([sys_rows[i], np.asarray(stair)]).astype(np.int32))
+    return SparseParityMatrix(
+        n_rows=m, n_cols=spec.n, k=k, rows=rows, design_p=spec.design_p
+    )
+
+
+def _place_edges(degrees, m, max_levels):
+    """The check of every systematic edge, in placement order (column after
+    column): the numpy form of the compiled peg_place."""
+    k = degrees.size
     hi = int(degrees.max())
 
     var_adj = np.full((k, hi), -1, dtype=np.int32)
@@ -333,7 +372,7 @@ def build_code(spec: CodeSpec, seed: int = 0, max_bfs_levels: int = 4) -> Sparse
                 c = int(np.argmin(chk_deg))
             else:
                 c = _select_check(
-                    v, var_adj, var_deg, chk_adj, chk_deg, seen_chk, seen_var, max_bfs_levels
+                    v, var_adj, var_deg, chk_adj, chk_deg, seen_chk, seen_var, max_levels
                 )
             if chk_deg[c] == chk_adj.shape[1]:
                 chk_adj = np.concatenate(
@@ -343,15 +382,7 @@ def build_code(spec: CodeSpec, seed: int = 0, max_bfs_levels: int = 4) -> Sparse
             chk_deg[c] += 1
             var_adj[v, var_deg[v]] = c
             var_deg[v] += 1
-
-    rows = []
-    for i in range(m):
-        sys_cols = np.sort(chk_adj[i, : chk_deg[i]])
-        stair = [k] if i == 0 else [k + i - 1, k + i]
-        rows.append(np.concatenate([sys_cols, np.asarray(stair)]).astype(np.int32))
-    return SparseParityMatrix(
-        n_rows=m, n_cols=spec.n, k=k, rows=rows, design_p=spec.design_p
-    )
+    return var_adj[var_adj >= 0]
 
 
 def _select_check(v, var_adj, var_deg, chk_adj, chk_deg, seen_chk, seen_var, max_levels):

@@ -20,7 +20,7 @@ def as_bit_array(bits, length: int, name: str) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 1 or arr.size != length:
         raise ValueError(f"{name} must be a flat sequence of {length} bits, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} must contain only 0s and 1s")
     return arr.astype(np.uint8)
 

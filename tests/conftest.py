@@ -1,9 +1,45 @@
-"""Shared fixtures: small codes built once per session."""
+"""Shared fixtures: small codes built once per session, and the backends."""
 
 import numpy as np
 import pytest
 
 import swldpc as sw
+from swldpc import _native
+
+
+def _backend_line() -> str:
+    return f"swldpc backend: {sw.backend()} (compiled kernels cached at {_native.library_path()})"
+
+
+def pytest_report_header(config):
+    return _backend_line()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.get_verbosity() < 0:  # -q drops the header: name the backend at the end
+        terminalreporter.write_line(_backend_line())
+
+
+@pytest.fixture()
+def numpy_backend(monkeypatch):
+    """Run bp_decode and build_code on their numpy code."""
+    monkeypatch.setattr(_native, "_lib", None)
+
+
+@pytest.fixture()
+def c_backend():
+    """The compiled kernels; skips the test where they cannot be built."""
+    lib = _native.lib()
+    if lib is None:
+        pytest.skip("the C kernels could not be built here (no working cc), so only numpy runs")
+    return lib
+
+
+@pytest.fixture(params=["c", "numpy"])
+def backend(request):
+    """Runs a test once on each backend."""
+    request.getfixturevalue(f"{request.param}_backend")
+    return request.param
 
 
 @pytest.fixture(scope="session")

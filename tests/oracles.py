@@ -8,6 +8,7 @@ Nothing here imports from swldpc.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -119,3 +120,67 @@ def boxplus_ref(a: float, b: float) -> float:
         + math.log1p(math.exp(-abs(a + b)))
         - math.log1p(math.exp(-abs(a - b)))
     )
+
+
+def bp_ref(rows, llr, s_max, table, max_iters, c2v=None):
+    """Flooding BP on plain lists, one check at a time, with no padding.
+
+    rows lists each check's column indices; llr holds the stored channel
+    values (positive favors bit 1). table holds the correction entries of
+    correction_table_ref (None for min-sum); indices past its end read 0.
+    Each check sends, on edge t, the clipped box-plus of the forward
+    reduction of its messages before t with the backward reduction of those
+    after t (the grouping the decoder uses); a check of one edge sends
+    +s_max. c2v is an optional warm start, one message per edge in row
+    order. Returns (bits, rounds, syndrome_ok, posterior, c2v).
+    """
+
+    def clip(v):
+        return max(-s_max, min(s_max, v))
+
+    def sign(v):
+        return (v > 0) - (v < 0)
+
+    def corr(u):
+        return table[u] if table is not None and u < len(table) else 0
+
+    def box(a, b):
+        return sign(a) * sign(b) * min(abs(a), abs(b)) + corr(abs(a + b)) - corr(abs(a - b))
+
+    edges = [(i, int(j)) for i, row in enumerate(rows) for j in row]
+    msg = [0] * len(edges) if c2v is None else [int(c) for c in c2v]
+
+    def variable_pass():
+        tot = [-int(v) for v in llr]  # internal sign: positive favors bit 0
+        for (_, j), c in zip(edges, msg):
+            tot[j] += c
+        v2c = [clip(tot[j] - c) for (_, j), c in zip(edges, msg)]
+        bits = [int(t < 0) for t in tot]
+        ok = all(sum(bits[int(j)] for j in row) % 2 == 0 for row in rows)
+        return tot, v2c, bits, ok
+
+    def check_pass(v2c):
+        out, e = [], 0
+        for row in rows:
+            incoming = v2c[e : e + len(row)]
+            e += len(row)
+            for t in range(len(row)):
+                before, after = incoming[:t], incoming[t + 1 :]
+                parts = []
+                if before:
+                    parts.append(functools.reduce(box, before))
+                if after:
+                    parts.append(functools.reduce(box, reversed(after)))
+                if len(parts) == 2:
+                    out.append(clip(box(*parts)))
+                else:
+                    out.append(clip(parts[0]) if parts else s_max)
+        return out
+
+    tot, v2c, bits, ok = variable_pass()
+    rounds = 0
+    while not ok and rounds < max_iters:
+        msg = check_pass(v2c)
+        tot, v2c, bits, ok = variable_pass()
+        rounds += 1
+    return bits, rounds, ok, [clip(-t) for t in tot], msg

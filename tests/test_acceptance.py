@@ -58,6 +58,13 @@ def test_l2_l3_alist_crc32_at_design_seed(l2_code, l3_code):
     assert _alist_crc32(l3_code) == "3b82f9da"
 
 
+def test_l1_l4_alist_crc32_at_design_seed(c_backend):
+    # The other two production codes, pinned once compiled placement builds
+    # them in seconds; numpy placement takes minutes per code.
+    assert _alist_crc32(sw.build_code(sw.get_code_spec("L1"), seed=DESIGN_SEED)) == "0e664e26"
+    assert _alist_crc32(sw.build_code(sw.get_code_spec("L4"), seed=DESIGN_SEED)) == "cefa5703"
+
+
 @pytest.fixture(scope="session")
 def waterfall_stats(l2_code):
     """Criterion 5 experiment, shared with criterion 7: 200 frames of the

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import swldpc as sw
+from swldpc import _native
 from swldpc.bp import _box_table, _table_for
-from oracles import boxplus_ref, correction_table_ref, gf2_syndrome, quantize_ref
+from oracles import bp_ref, boxplus_ref, correction_table_ref, gf2_syndrome, quantize_ref
 
 
 class TestQuantizer:
@@ -249,6 +250,87 @@ class TestBpDecode:
             sw.bp_decode(toy_code, init, c2v=np.full(edges, 10001, np.int32))
 
 
+def _noisy_frame(h, p, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, h.k).astype(np.uint8)
+    y = (x ^ (rng.random(h.k) < p)).astype(np.uint8)
+    return x, y, sw.encode(h, x)
+
+
+def _one_edge_row_code():
+    """k=6 code whose check 0 holds parity column 6 alone."""
+    rows = [[6], [0, 1, 2, 6, 7], [2, 3, 4, 7, 8], [0, 4, 5, 8, 9]]
+    return sw.SparseParityMatrix(n_rows=4, n_cols=10, k=6, rows=rows)
+
+
+def _assert_same_outcome(got, want):
+    assert got.iterations_used == want.iterations_used
+    assert got.syndrome_ok == want.syndrome_ok
+    for a, b in ((got.hard_bits, want.hard_bits), (got.c2v, want.c2v),
+                 (got.posterior.values, want.posterior.values)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    post_a, post_b = got.posterior, want.posterior
+    assert (post_a.q, post_a.s_max, post_a.k) == (post_b.q, post_b.s_max, post_b.k)
+
+
+class TestReferenceDecoder:
+    """bp_decode against the unpadded, row-by-row decoder of oracles.py, also
+    on grids where the correction table is longer than s_max, so that a pad
+    value that is not a box-plus identity would show."""
+
+    @pytest.mark.parametrize("q,s_max", [(3, 20), (4, 40), (5, 30), (5, 100), (2, 5), (3, 10000)])
+    @pytest.mark.parametrize("kernel", ["table", "minsum"])
+    def test_matches_reference(self, backend, toy_code, small_code, kernel, q, s_max):
+        table = correction_table_ref(q) if kernel == "table" else None
+        cases = [(toy_code, 6), (small_code, 2), (_one_edge_row_code(), 4)]
+        for h, frames in cases:
+            for seed in range(frames):
+                _, y, z = _noisy_frame(h, 0.08, seed)
+                init = sw.init_from_side_info(y, z, math.log(0.08 / 0.92), q=q, s_max=s_max)
+                out = sw.bp_decode(h, init, max_local_iters=12, kernel=kernel)
+                bits, rounds, ok, post, c2v = bp_ref(h.rows, init.values, s_max, table, 12)
+                assert out.iterations_used == rounds and out.syndrome_ok == ok
+                assert out.hard_bits.tolist() == bits
+                assert out.posterior.values.tolist() == post
+                assert out.c2v.tolist() == c2v
+
+
+class TestBackendsAgree:
+    """The compiled loop against the numpy one, field by field."""
+
+    PAIRS = [(3, 10000), (3, 20), (2, 5), (5, 100), (0, 30)]
+
+    def test_random_codes(self, c_backend, monkeypatch):
+        # Row-irregular codes from 4 to 119 rows and one with a single-edge
+        # check; cold runs and runs warm-started from their messages.
+        rng = np.random.default_rng(4004)
+        codes = [_one_edge_row_code()]
+        for i in range(24):
+            k = int(rng.integers(8, 120))
+            m = int(rng.integers(4, k + 1))
+            dv = round(float(rng.uniform(1.0, min(3.5, m - 0.5))), 2)
+            spec = sw.CodeSpec(id=f"r{i}", k=k, n=k + m, dv_target=dv, design_p=0.1)
+            codes.append(sw.build_code(spec, seed=i))
+        for c, h in enumerate(codes):
+            for f in range(3):
+                q, s_max = self.PAIRS[(c + f) % len(self.PAIRS)]
+                p = 0.03 + 0.04 * f
+                _, y, z = _noisy_frame(h, p, [c, f])
+                cold_init = sw.init_from_side_info(y, z, math.log(0.05 / 0.95), q, s_max)
+                warm_init = sw.init_from_side_info(y, z, math.log(p / (1 - p)), q, s_max)
+                for kernel in ("table", "minsum"):
+                    for iters in (0, 1, 2, 7, 50):
+                        runs = []
+                        for lib in (c_backend, None):  # None: the numpy code
+                            with monkeypatch.context() as mp:
+                                mp.setattr(_native, "_lib", lib)
+                                cold = sw.bp_decode(h, cold_init, iters, kernel)
+                                warm = sw.bp_decode(h, warm_init, iters, kernel, c2v=cold.c2v)
+                            runs.append((cold, warm))
+                        for got, want in zip(*runs):
+                            _assert_same_outcome(got, want)
+
+
 class TestHardSyndrome:
     def test_zero_codeword(self, small_code):
         bits = np.zeros(small_code.n_cols, dtype=np.uint8)
@@ -377,3 +459,11 @@ class TestGoldenOutputs:
         )
         csv = sw.emit_report(sw.run_sweep(cfg, workers=1))
         assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN["sweep-csv"]
+
+
+class TestGoldenOutputsNumpy(TestGoldenOutputs):
+    """The same digests from the numpy code, the fallback of the compiled loop."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self, numpy_backend):
+        pass

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import swldpc as sw
+from swldpc import _native
 from oracles import gf2_rank
 
 
@@ -188,6 +189,33 @@ class TestConstruction:
         assert np.array_equal(lay.valid, lay.cols < h.n_cols)
         assert (lay.cols[~lay.valid] == h.n_cols).all()
         assert np.array_equal(lay.cols.T[lay.valid.T], np.concatenate(h.rows))
+        # The compiled kernels' unpadded view lists the same edges.
+        assert lay.row_ptr.dtype == lay.edge_col.dtype == np.int32
+        assert lay.row_ptr.tolist() == [0, *np.cumsum(deg).tolist()]
+        assert np.array_equal(lay.edge_col, np.concatenate(h.rows))
+
+    def test_compiled_placement_matches_numpy(self, c_backend, monkeypatch):
+        # Random geometries, BFS depths 1 to 6, two-valued and explicit
+        # profiles: the compiled PEG must place every edge as numpy does.
+        rng = np.random.default_rng(606)
+        for i in range(72):
+            k = int(rng.integers(8, 300))
+            m = int(rng.integers(6, k + 1))
+            if i % 3:
+                dv, profile = round(float(rng.uniform(1.0, min(4.5, m - 0.5))), 2), None
+            else:
+                twos = int(rng.integers(0, k // 2))
+                sixes = int(rng.integers(0, k // 4))
+                profile = ((2, twos), (3, k - twos - sixes), (6, sixes))
+                dv = sum(d * c for d, c in profile) / k
+            spec = sw.CodeSpec(id=f"p{i}", k=k, n=k + m, dv_target=dv, design_p=None,
+                               degree_profile=profile)
+            depth = 1 + i % 6
+            compiled = sw.build_code(spec, seed=i, max_bfs_levels=depth)
+            with monkeypatch.context() as mp:
+                mp.setattr(_native, "_lib", None)
+                reference = sw.build_code(spec, seed=i, max_bfs_levels=depth)
+            assert compiled == reference, (spec, depth)
 
 
 class TestAlist:
@@ -287,6 +315,11 @@ class TestAlist:
         buf = io.StringIO()
         sw.save_alist(sw.build_code(sw.get_code_spec(cid), seed=0), buf)
         assert f"{zlib.crc32(buf.getvalue().encode()):08x}" == crc
+
+    @pytest.mark.parametrize("cid,crc", [("D1", "4510b7aa"), ("D2", "784ce254")])
+    def test_registry_alist_crc32_numpy(self, numpy_backend, cid, crc):
+        # The same bytes from the numpy placement, the compiled one's fallback.
+        self.test_registry_alist_crc32_at_seed_0(cid, crc)
 
     def test_load_regenerates_rate(self, desk_code):
         buf = io.StringIO()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import swldpc as sw
+from swldpc.encoding import as_bit_array
 from oracles import gf2_solve_unit_lower, gf2_syndrome
 
 
@@ -73,6 +74,27 @@ class TestEncode:
         bad[0] = 2
         with pytest.raises(ValueError):
             sw.encode(small_code, bad)
+
+    @pytest.mark.parametrize(
+        "bits,ok",
+        [
+            (np.array([0.0, 1.0, 1.0]), True),
+            (np.array([False, True, True]), True),
+            (np.array([0.0, 0.5, 1.0]), False),
+            (np.array([0, 2, 1]), False),
+            (np.array([0, -1, 1]), False),
+            (np.array([0.0, np.nan, 1.0]), False),
+            (np.array(["0", "1", "1"]), False),
+        ],
+        ids=["float", "bool", "half", "two", "minus-one", "nan", "str"],
+    )
+    def test_bit_check_verdicts(self, bits, ok):
+        if ok:
+            out = as_bit_array(bits, 3, "bits")
+            assert out.dtype == np.uint8 and out.tolist() == [0, 1, 1]
+        else:
+            with pytest.raises(ValueError, match="only 0s and 1s"):
+                as_bit_array(bits, 3, "bits")
 
     def test_throughput_scales_with_edges(self, desk_code):
         # Soft linearity guard: a k=4096 code has ~4x the edges of the

@@ -1,0 +1,127 @@
+"""The loader of the compiled kernels: fallback, one build, threads."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
+
+import numpy as np
+
+import swldpc as sw
+from swldpc import _native
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_fresh(script: str, cache_dir: Path) -> dict:
+    """Run script in a new interpreter whose loader builds into cache_dir;
+    script prints one JSON object as its last line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), str(cache_dir)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_missing_compiler_falls_back_to_numpy(tmp_path):
+    result = _run_fresh(
+        """
+        import json, math, sys, warnings
+        from pathlib import Path
+        import numpy as np
+        from swldpc import _native
+        _native._CACHE_DIR = Path(sys.argv[1])
+        _native._CC = str(Path(sys.argv[1]) / "no-such-cc")
+        import swldpc as sw
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spec = sw.CodeSpec(id="T", k=256, n=384, dv_target=3.0, design_p=0.05)
+            h = sw.build_code(spec, seed=3)
+            rng = np.random.default_rng(5)
+            decoded = 0
+            for _ in range(10):
+                x = rng.integers(0, 2, h.k).astype(np.uint8)
+                y = (x ^ (rng.random(h.k) < 0.02)).astype(np.uint8)
+                init = sw.init_from_side_info(y, sw.encode(h, x), math.log(0.02 / 0.98))
+                out = sw.bp_decode(h, init)
+                decoded += bool(out.syndrome_ok and np.array_equal(out.hard_bits[: h.k], x))
+            backend = sw.backend()
+        print(json.dumps({
+            "backend": backend,
+            "warnings": [str(w.message) for w in caught],
+            "decoded": decoded,
+            "left": sorted(p.name for p in Path(sys.argv[1]).iterdir()),
+        }))
+        """,
+        tmp_path,
+    )
+    assert result["backend"] == "numpy"
+    assert len(result["warnings"]) == 1 and "numpy" in result["warnings"][0]
+    assert result["decoded"] == 10
+    assert result["left"] == []  # the failed build leaves no temporary file
+
+
+def test_first_use_from_many_threads_builds_once(c_backend, tmp_path):
+    result = _run_fresh(
+        """
+        import json, sys, threading
+        from pathlib import Path
+        from swldpc import _native
+        _native._CACHE_DIR = Path(sys.argv[1])
+        seen, start = [], threading.Barrier(4)
+        def first_use():
+            start.wait()
+            seen.append(id(_native.lib()))
+        threads = [threading.Thread(target=first_use) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        print(json.dumps({
+            "libraries": len(set(seen)), "calls": len(seen), "backend": _native.backend(),
+            "files": sorted(p.name for p in Path(sys.argv[1]).iterdir()),
+        }))
+        """,
+        tmp_path,
+    )
+    assert result["calls"] == 4 and result["libraries"] == 1 and result["backend"] == "c"
+    assert result["files"] == [_native.library_path().name]
+
+
+def test_concurrent_decodes_match_serial(desk_code):
+    # More threads than cores, a short switch interval, and decodes that
+    # overlap inside the compiled loop: each must equal its serial result.
+    rng = np.random.default_rng(77)
+    inits = []
+    for _ in range(24):
+        x = rng.integers(0, 2, desk_code.k).astype(np.uint8)
+        y = (x ^ (rng.random(desk_code.k) < 0.06)).astype(np.uint8)
+        inits.append(sw.init_from_side_info(y, sw.encode(desk_code, x), -2.94))
+    serial = [sw.bp_decode(desk_code, init) for init in inits]
+    results = [None] * len(inits)
+
+    def work(j):
+        for i in range(j, len(inits), 6):
+            results[i] = sw.bp_decode(desk_code, inits[i])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        assert got.iterations_used == want.iterations_used
+        assert np.array_equal(got.posterior.values, want.posterior.values)
+        assert np.array_equal(got.c2v, want.c2v)
