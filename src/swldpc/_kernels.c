@@ -10,101 +10,171 @@
  */
 #include <stdint.h>
 
-static inline int64_t iabs(int64_t v) { return v < 0 ? -v : v; }
+/* On x86-64 with glibc, bp_run is built twice, for AVX2 and for the baseline
+ * instruction set, and the loader picks the one the CPU runs (an ifunc). The
+ * compile flags so stay portable; all arithmetic is integer, so both builds
+ * give the same bits. Elsewhere, or with a compiler that does not know the
+ * attribute, there is one baseline build. */
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define VECTOR_CLONES
+#endif
+
+/* The belief-propagation loop works on the code's padded edge layout, the
+ * EdgeLayout of codes.py: an array of d x m entries, entry t * m + i for the
+ * t-th edge of row i. cols holds each entry's column; a row's real edges come
+ * first, in increasing column order, and its pads sit on the sentinel column
+ * n. Messages use the same layout, so every step of a row scan is one loop
+ * over all m rows, whose iterations are independent and which the compiler
+ * can vectorise. Message arithmetic stays in int32: bp.LlrqVector bounds
+ * s_max so that the pad value and |a +- b| of any two messages fit. */
 
 static inline int32_t clip(int64_t v, int32_t s_max)
 {
     return (int32_t)(v > s_max ? s_max : (v < -s_max ? -s_max : v));
 }
 
-/* Two-input check rule: min-sum when table is NULL, otherwise min-sum plus
- * table[|a+b|] - table[|a-b|], the indices capped at tmax (table[tmax] = 0). */
-static inline int32_t box(int32_t a, int32_t b, const int32_t *table, int32_t tmax)
+static inline int32_t clip32(int32_t v, int32_t s_max)
 {
-    int64_t mag = iabs(a) < iabs(b) ? iabs(a) : iabs(b);
-    int32_t out = (int32_t)(((a > 0) - (a < 0)) * ((b > 0) - (b < 0)) * mag);
+    v = v > s_max ? s_max : v;
+    return v < -s_max ? -s_max : v;
+}
+
+static inline int32_t iabs32(int32_t v) { return v < 0 ? -v : v; }
+
+/* Min-sum rule sign(a) sign(b) min(|a|, |b|): the sign of a ^ b is that
+ * product's whenever the minimum is not 0. Branch-free, like everything the
+ * row loops call, since message signs are not predictable. */
+static inline int32_t box_minsum(int32_t a, int32_t b)
+{
+    int32_t mag = iabs32(a) < iabs32(b) ? iabs32(a) : iabs32(b);
+    int32_t neg = -((a ^ b) < 0);
+    return (mag ^ neg) - neg;
+}
+
+/* Min-sum plus table[|a+b|] - table[|a-b|], the indices capped at tmax
+ * (table[tmax] = 0). */
+static inline int32_t box_table(int32_t a, int32_t b, const int32_t *table, int32_t tmax)
+{
+    int32_t u = iabs32(a + b), w = iabs32(a - b);
+    u = u < tmax ? u : tmax;
+    w = w < tmax ? w : tmax;
+    return box_minsum(a, b) + table[u] - table[w];
+}
+
+/* out[i] = box(a[i], b[i]) for i < m, clipped to s_max when clip_out. */
+static inline void box_rows(int32_t m, const int32_t *a, const int32_t *b, int32_t *out,
+                            const int32_t *table, int32_t tmax, int32_t s_max, int clip_out)
+{
     if (table) {
-        int64_t u = iabs((int64_t)a + b), w = iabs((int64_t)a - b);
-        out += table[u < tmax ? u : tmax] - table[w < tmax ? w : tmax];
+        /* out may be a, never table: tell GCC so, or it keeps the table
+         * lookups scalar for fear a store changes the table */
+#pragma GCC ivdep
+        for (int32_t i = 0; i < m; i++) {
+            int32_t v = box_table(a[i], b[i], table, tmax);
+            out[i] = clip_out ? clip32(v, s_max) : v;
+        }
+    } else {
+        for (int32_t i = 0; i < m; i++) {
+            int32_t v = box_minsum(a[i], b[i]);
+            out[i] = clip_out ? clip32(v, s_max) : v;
+        }
     }
-    return out;
 }
 
 /* Bit-node update in the internal sign (positive favors 0): tot[j] is the
- * channel value plus every message into column j, v2c[e] that total less the
- * edge's own message, clipped. bits[j] = tot[j] < 0. Returns 1 when the hard
- * decisions satisfy every check. */
-static int32_t variable_pass(int32_t m, int32_t n, const int32_t *row_ptr, const int32_t *col,
-                             const int32_t *llr, int32_t s_max, const int32_t *c2v,
-                             int32_t *v2c, int64_t *tot, uint8_t *bits)
+ * channel value plus every message into column j, and v2c that total less
+ * the entry's own message, clipped, or pad on a pad. The sentinel's total
+ * is 0. A bit is 1 when its total is negative. acc (m) is scratch. Returns
+ * 1 when the bits satisfy every check. */
+static inline int32_t variable_pass(int32_t m, int32_t n, int32_t d, const intptr_t *cols,
+                                    const int32_t *llr, int32_t s_max, int32_t pad,
+                                    const int32_t *c2v, int32_t *v2c, int64_t *tot, int32_t *acc)
 {
-    int32_t ok = 1;
+    int64_t entries = (int64_t)d * m;
     for (int32_t j = 0; j < n; j++)
         tot[j] = -(int64_t)llr[j];
-    for (int32_t e = 0; e < row_ptr[m]; e++)
-        tot[col[e]] += c2v[e];
-    for (int32_t j = 0; j < n; j++)
-        bits[j] = tot[j] < 0;
-    for (int32_t i = 0; i < m; i++) {
-        uint8_t parity = 0;
-        for (int32_t e = row_ptr[i]; e < row_ptr[i + 1]; e++) {
-            v2c[e] = clip(tot[col[e]] - c2v[e], s_max);
-            parity ^= bits[col[e]];
+    for (int64_t e = 0; e < entries; e++)
+        tot[cols[e]] += c2v[e];
+    tot[n] = 0;
+    for (int32_t i = 0; i < m; i++)
+        acc[i] = 0;
+    for (int32_t t = 0; t < d; t++) {
+        const intptr_t *col = cols + (int64_t)t * m;
+        const int32_t *in = c2v + (int64_t)t * m;
+        int32_t *out = v2c + (int64_t)t * m;
+        for (int32_t i = 0; i < m; i++) {
+            int64_t v = tot[col[i]];
+            out[i] = col[i] < n ? clip(v - in[i], s_max) : pad;
+            acc[i] ^= v < 0;
         }
-        ok &= !parity;
     }
-    return ok;
+    int32_t odd = 0;
+    for (int32_t i = 0; i < m; i++)
+        odd |= acc[i];
+    return !odd;
 }
 
-/* Check-node update over each row's real edges: fw[t] reduces the row's
- * messages before t, bw those after t. A row of one edge sends the empty
- * reduction, +infinity, clipped to s_max. */
-static void check_pass(int32_t m, const int32_t *row_ptr, int32_t s_max, const int32_t *table,
-                       int32_t tmax, const int32_t *v2c, int32_t *c2v, int32_t *fw)
+/* Check-node update of numpy's exclusive scans: left[t] reduces a row's
+ * entries before t, right[t] those after t, both starting from pad, and the
+ * message is box(left[t], right[t]), clipped. left is built in c2v; acc (m)
+ * carries right from t = d - 1 down to 0. */
+static inline void check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad,
+                              const int32_t *table, int32_t tmax, const int32_t *v2c,
+                              int32_t *c2v, int32_t *acc)
 {
-    for (int32_t i = 0; i < m; i++) {
-        const int32_t *in = v2c + row_ptr[i];
-        int32_t *out = c2v + row_ptr[i];
-        int32_t d = row_ptr[i + 1] - row_ptr[i];
-        if (d < 2) {
-            if (d == 1)
-                out[0] = s_max;
-            continue;
-        }
-        fw[1] = in[0];
-        for (int32_t t = 2; t < d; t++)
-            fw[t] = box(fw[t - 1], in[t - 1], table, tmax);
-        int32_t bw = in[d - 1];
-        out[d - 1] = clip(fw[d - 1], s_max);
-        for (int32_t t = d - 2; t > 0; t--) {
-            out[t] = clip(box(fw[t], bw, table, tmax), s_max);
-            bw = box(bw, in[t], table, tmax);
-        }
-        out[0] = clip(bw, s_max);
+    for (int32_t i = 0; i < m; i++)
+        c2v[i] = acc[i] = pad;
+    for (int32_t t = 1; t < d; t++)
+        box_rows(m, c2v + (int64_t)(t - 1) * m, v2c + (int64_t)(t - 1) * m,
+                 c2v + (int64_t)t * m, table, tmax, s_max, 0);
+    for (int32_t t = d - 1; t >= 0; t--) {
+        int32_t *row = c2v + (int64_t)t * m;
+        box_rows(m, row, acc, row, table, tmax, s_max, 1);
+        if (t > 0)
+            box_rows(m, acc, v2c + (int64_t)t * m, acc, table, tmax, s_max, 0);
     }
 }
 
-/* Flooding BP on the row-major edge list (row_ptr, col) of an m x n matrix.
- * llr holds the stored channel values (positive favors 1); c2v holds the
- * starting check-to-variable messages (zeros for a cold start) and is
- * overwritten with the last round's. table is NULL for min-sum. Scratch:
- * v2c (one per edge), fw (the largest row degree), tot (n). Outputs the hard
- * decisions, the clipped posterior (stored sign) and *ok; returns the number
- * of rounds run. */
-int32_t bp_run(int32_t m, int32_t n, const int32_t *row_ptr, const int32_t *col,
-               const int32_t *llr, int32_t s_max, const int32_t *table, int32_t tmax,
-               int32_t max_iters, int32_t *c2v, int32_t *v2c, int32_t *fw, int64_t *tot,
-               uint8_t *bits, int32_t *posterior, int32_t *ok)
+/* Flooding BP on the padded layout (d, m, cols) of an m x n matrix.
+ * llr holds the stored channel values (positive favors 1). c2v_in holds the
+ * starting check-to-variable messages, one per real edge in row-major order,
+ * or is NULL for a cold start; c2v_out receives the last round's in that
+ * order. pad is the box-plus identity on pads; table is NULL for min-sum.
+ * work is scratch of n + 1 int64 values followed by 2 d m + m int32 values.
+ * Outputs the n hard decisions, the clipped posterior (stored sign) and
+ * *ok; returns the number of rounds run. */
+VECTOR_CLONES
+int32_t bp_run(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
+               int32_t s_max, int32_t pad, const int32_t *table, int32_t tmax,
+               int32_t max_iters, const int32_t *c2v_in, int64_t *work, uint8_t *bits,
+               int32_t *posterior, int32_t *c2v_out, int32_t *ok)
 {
+    int64_t entries = (int64_t)d * m, e = 0;
+    int64_t *tot = work;
+    int32_t *c2v = (int32_t *)(work + n + 1), *v2c = c2v + entries, *acc = v2c + entries;
+    for (int64_t x = 0; x < entries; x++)
+        c2v[x] = 0;
+    if (c2v_in)
+        for (int32_t i = 0; i < m; i++)
+            for (int64_t x = i; x < entries && cols[x] < n; x += m)
+                c2v[x] = c2v_in[e++];
     int32_t iters = 0;
-    *ok = variable_pass(m, n, row_ptr, col, llr, s_max, c2v, v2c, tot, bits);
+    *ok = variable_pass(m, n, d, cols, llr, s_max, pad, c2v, v2c, tot, acc);
     while (!*ok && iters < max_iters) {
-        check_pass(m, row_ptr, s_max, table, tmax, v2c, c2v, fw);
-        *ok = variable_pass(m, n, row_ptr, col, llr, s_max, c2v, v2c, tot, bits);
+        check_pass(m, d, s_max, pad, table, tmax, v2c, c2v, acc);
+        *ok = variable_pass(m, n, d, cols, llr, s_max, pad, c2v, v2c, tot, acc);
         iters++;
     }
-    for (int32_t j = 0; j < n; j++)
+    for (int32_t j = 0; j < n; j++) {
+        bits[j] = tot[j] < 0;
         posterior[j] = clip(-tot[j], s_max);
+    }
+    e = 0;
+    for (int32_t i = 0; i < m; i++)
+        for (int64_t x = i; x < entries && cols[x] < n; x += m)
+            c2v_out[e++] = c2v[x];
     return iters;
 }
 

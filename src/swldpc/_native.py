@@ -1,11 +1,15 @@
 """Build, load and call the compiled kernels in _kernels.c.
 
-On first use the C file is compiled with the system compiler (cc -O2
+On first use the C file is compiled with the system compiler (cc -O3
 -shared -fPIC, no Python headers) into the package's __pycache__ directory,
 under a name keyed by the hash of the source and the command, and loaded
 with ctypes.CDLL, which releases the interpreter lock for the length of
-every call. When the library cannot be built or loaded, one warning is
-emitted and bp_decode and build_code run their numpy code instead.
+every call. The flags name no instruction set: on x86-64 with glibc the
+source asks the compiler for an AVX2 and a baseline build of bp_run and the
+loader picks one for the CPU at load time (GCC/clang target_clones); both
+compute in integers and give the same bits. When the library cannot be
+built or loaded, one warning is emitted and bp_decode and build_code run
+their numpy code instead.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 _CC = "cc"
-_FLAGS = ("-O2", "-shared", "-fPIC")
+_FLAGS = ("-O3", "-shared", "-fPIC")
 
 _UNSET = object()
 _lib = _UNSET  # the loaded library once tried; None when it could not be built
@@ -33,7 +37,7 @@ _lock = threading.Lock()
 _P = ctypes.c_void_p
 _I = ctypes.c_int32
 _SIGNATURES = {
-    "bp_run": [_I, _I, _P, _P, _P, _I, _P, _I, _I, _P, _P, _P, _P, _P, _P, _P],
+    "bp_run": [_I, _I, _I, _P, _P, _I, _I, _P, _I, _I, _P, _P, _P, _P, _P, _P],
     "peg_place": [_I, _I, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P],
 }
 
@@ -102,35 +106,38 @@ def _compile(path: Path) -> None:
 
 
 def _ptr(arr: np.ndarray) -> int:
-    return arr.ctypes.data
+    """Address of a writable C-contiguous array's data; taken through a ctypes
+    buffer, it costs a third of arr.ctypes.data, which adds up per call."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(arr))
 
 
-def bp_run(dll, layout, llr, s_max, table, max_iters, c2v):
-    """Run the whole BP loop in C on layout's row-major edge list.
+def bp_run(dll, layout, llr, s_max, pad, table, max_iters, c2v):
+    """Run the whole BP loop in C on layout's padded edge matrix.
 
-    llr holds the n stored channel values; table is the int32 correction
-    table with its trailing zero, or None for min-sum; c2v holds the starting
-    messages, one per edge in row-major order, or None for a cold start.
+    llr holds the n stored channel values; pad is the box-plus identity the
+    pads hold; table is the correction table with its trailing zero, or None
+    for min-sum; c2v holds the starting messages, one per edge in row-major
+    order, or None for a cold start. All are C-contiguous int32 arrays.
     Returns (iterations, syndrome_ok, hard bits, posterior values, c2v).
     """
-    llr = np.ascontiguousarray(llr, dtype=np.int32)
-    n, m, edges = llr.size, layout.row_ptr.size - 1, layout.edge_col.size
-    c2v = np.zeros(edges, np.int32) if c2v is None else np.array(c2v, dtype=np.int32)
-    if c2v.shape != (edges,):
-        raise ValueError(f"c2v has shape {c2v.shape} for {edges} edges")
-    v2c = np.empty_like(c2v)
-    fw = np.empty(layout.cols.shape[0], dtype=np.int32)
-    tot = np.empty(n, dtype=np.int64)
+    d, m = layout.cols.shape
+    n = llr.size
+    # ctypes exports writable buffers only
+    llr = llr if llr.flags.writeable else llr.copy()
+    if c2v is not None and not c2v.flags.writeable:
+        c2v = c2v.copy()
+    work = np.empty(n + 1 + (2 * d * m + m + 1) // 2, dtype=np.int64)
     bits = np.empty(n, dtype=np.uint8)
     posterior = np.empty(n, dtype=np.int32)
+    c2v_out = np.empty(layout.edges, dtype=np.int32)
     ok = ctypes.c_int32()
     iters = dll.bp_run(
-        m, n, _ptr(layout.row_ptr), _ptr(layout.edge_col), _ptr(llr), s_max,
+        m, n, d, _ptr(layout.cols), _ptr(llr), s_max, pad,
         None if table is None else _ptr(table), 0 if table is None else table.size - 1,
-        max(0, min(max_iters, 2**31 - 1)), _ptr(c2v), _ptr(v2c), _ptr(fw), _ptr(tot),
-        _ptr(bits), _ptr(posterior), ctypes.byref(ok),
+        max(0, min(max_iters, 2**31 - 1)), None if c2v is None else _ptr(c2v),
+        _ptr(work), _ptr(bits), _ptr(posterior), _ptr(c2v_out), ctypes.byref(ok),
     )
-    return iters, bool(ok.value), bits, posterior, c2v
+    return iters, bool(ok.value), bits, posterior, c2v_out
 
 
 def peg_place(dll, degrees: np.ndarray, m: int, max_levels: int) -> np.ndarray | None:

@@ -22,6 +22,7 @@ from .encoding import as_bit_array
 __all__ = [
     "DEFAULT_Q",
     "DEFAULT_S_MAX",
+    "S_MAX_LIMIT",
     "LlrqVector",
     "DecodeOutcome",
     "quantize_llr",
@@ -33,13 +34,18 @@ __all__ = [
 
 DEFAULT_Q = 3
 DEFAULT_S_MAX = 10000
+S_MAX_LIMIT = 2**29
 
 KERNELS = ("table", "minsum")
 
 
 @dataclass
 class LlrqVector:
-    """Quantized LLRs for all n bits: scaled by 2**q, magnitudes <= s_max."""
+    """Quantized LLRs for all n bits: scaled by 2**q, magnitudes <= s_max.
+
+    s_max may not exceed S_MAX_LIMIT = 2**29: the decoder keeps messages,
+    its pad value and the sum or difference of two messages in int32.
+    """
 
     values: np.ndarray
     q: int = DEFAULT_Q
@@ -50,9 +56,11 @@ class LlrqVector:
         self.values = np.asarray(self.values, dtype=np.int32)
         if self.values.ndim != 1:
             raise ValueError("LLR vector must be one-dimensional")
-        if self.s_max <= 0 or self.q < 0:
-            raise ValueError(f"need s_max > 0 and q >= 0, got {self.s_max}, {self.q}")
-        if np.abs(self.values, dtype=np.int64).max(initial=0) > self.s_max:
+        if not 0 < self.s_max <= S_MAX_LIMIT or self.q < 0:
+            raise ValueError(
+                f"need 0 < s_max <= {S_MAX_LIMIT} and q >= 0, got {self.s_max}, {self.q}"
+            )
+        if _magnitude(self.values) > self.s_max:
             raise ValueError(f"LLR magnitudes must not exceed s_max={self.s_max}")
 
 
@@ -72,6 +80,11 @@ class DecodeOutcome:
     iterations_used: int
     syndrome_ok: bool
     c2v: np.ndarray | None = None
+
+
+def _magnitude(values: np.ndarray) -> int:
+    """Largest |value| of an int32 array, 0 when it is empty."""
+    return max(-int(values.min()), int(values.max())) if values.size else 0
 
 
 def quantize_llr(l: float, q: int = DEFAULT_Q, s_max: int = DEFAULT_S_MAX) -> int:
@@ -128,10 +141,17 @@ def init_from_side_info(
     z = as_bit_array(z, np.asarray(z).size, "parity block")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    l_sys = (2.0 * y - 1.0) * abs(alpha)
-    v_sys = np.clip(np.floor(2**q * l_sys + 0.5), -s_max, s_max).astype(np.int32)
-    v_par = ((2 * z.astype(np.int32) - 1) * s_max).astype(np.int32)
-    return LlrqVector(np.concatenate([v_sys, v_par]), q=q, s_max=s_max, k=int(y.size))
+    return _side_info_llr(y, z, alpha, q, s_max)
+
+
+def _side_info_llr(y: np.ndarray, z: np.ndarray, alpha: float, q: int, s_max: int) -> LlrqVector:
+    """init_from_side_info on y and z already checked to be 0/1 arrays and a
+    finite alpha."""
+    values = np.empty(y.size + z.size, dtype=np.int32)
+    a = abs(alpha)
+    values[: y.size] = np.where(y, quantize_llr(a, q, s_max), quantize_llr(-a, q, s_max))
+    values[y.size :] = np.where(z, s_max, -s_max)
+    return LlrqVector(values, q=q, s_max=s_max, k=int(y.size))
 
 
 def hard_syndrome(h: SparseParityMatrix, bits) -> np.ndarray:
@@ -183,45 +203,49 @@ def bp_decode(
     lay = h.decode_plan()
     s_max = init.s_max
     if c2v is not None:
-        c2v = np.asarray(c2v, dtype=np.int32)
-        n_edges = lay.edge_col.size
-        if c2v.shape != (n_edges,):
-            raise ValueError(f"c2v has shape {c2v.shape} for {n_edges} edges")
-        if np.abs(c2v, dtype=np.int64).max(initial=0) > s_max:
+        c2v = np.ascontiguousarray(c2v, dtype=np.int32)
+        if c2v.shape != (lay.edges,):
+            raise ValueError(f"c2v has shape {c2v.shape} for {lay.edges} edges")
+        if _magnitude(c2v) > s_max:
             raise ValueError(f"c2v magnitudes must not exceed s_max={s_max}")
     table = _table_for(init.q)
-    tmax = table.size - 1
-
-    dll = _native.lib()
-    if dll is not None:
-        iterations, ok, bits, post, c2v = _native.bp_run(
-            dll, lay, init.values, s_max, table if kernel == "table" else None,
-            max_local_iters, c2v,
-        )
-        return DecodeOutcome(
-            hard_bits=bits,
-            posterior=LlrqVector(post, q=init.q, s_max=s_max, k=init.k),
-            iterations_used=iterations,
-            syndrome_ok=ok,
-            c2v=c2v,
-        )
-
     # Pads hold a box-plus identity P: box(x, P) == x for every x a scan can
     # hold. Reductions of real messages stay within X = max(s_max, table[0]);
     # P >= X + tmax + 1 keeps |x +- P| > tmax, where no correction applies,
     # also after a row's pads are reduced with each other, which lowers P by
     # at most table[0] per step.
-    d_max = lay.cols.shape[0]
-    ident = np.int32(max(s_max, int(table[0])) + tmax + 1 + d_max * int(table[0]))
+    tmax = table.size - 1
+    pad = max(s_max, int(table[0])) + tmax + 1 + lay.cols.shape[0] * int(table[0])
 
-    if kernel == "table":
+    args = (lay, np.ascontiguousarray(init.values, dtype=np.int32), s_max, pad,
+            table if kernel == "table" else None, max_local_iters, c2v)
+    dll = _native.lib()
+    iterations, ok, bits, post, c2v = (
+        _bp_numpy(*args) if dll is None else _native.bp_run(dll, *args)
+    )
+    return DecodeOutcome(
+        hard_bits=bits,
+        posterior=LlrqVector(post, q=init.q, s_max=s_max, k=init.k),
+        iterations_used=iterations,
+        syndrome_ok=ok,
+        c2v=c2v,
+    )
+
+
+def _bp_numpy(lay, llr, s_max, pad, table, max_iters, c2v):
+    """The numpy flooding loop, with _native.bp_run's arguments and results."""
+    if table is None:
+        box = _box_minsum
+    else:
+        tmax = table.size - 1
+
         def box(a, b):
             return _box_table(a, b, table, tmax)
-    else:
-        box = _box_minsum
 
+    d_max = lay.cols.shape[0]
+    pad = np.int32(pad)
     # internal domain: positive favors bit 0; entry n is the sentinel column
-    lam0 = np.append(-init.values.astype(np.int64), 0)
+    lam0 = np.append(-llr.astype(np.int64), 0)
     pads = ~lay.valid
 
     def variable_pass(c2v):
@@ -230,7 +254,7 @@ def bp_decode(
         tot = lam0 + col_sum.astype(np.int64)
         tot[-1] = 0  # the sentinel collects the pads' messages; it must read as bit 0
         v2c = np.clip(tot[lay.cols] - c2v, -s_max, s_max).astype(np.int32)
-        v2c[pads] = ident
+        v2c[pads] = pad
         return tot, v2c
 
     # messages are padded (d_max, m) arrays inside, row-major edge lists outside
@@ -244,12 +268,12 @@ def bp_decode(
     iterations = 0
     ok = not lay.row_parity(bits).any()
     if not ok:
-        for iterations in range(1, max_local_iters + 1):
+        for iterations in range(1, max_iters + 1):
             # exclusive scans: left[t] reduces a row's messages before t, right[t] after t
-            left = np.full_like(v2c, ident)
+            left = np.full_like(v2c, pad)
             for t in range(1, d_max):
                 left[t] = box(left[t - 1], v2c[t - 1])
-            right = np.full_like(v2c, ident)
+            right = np.full_like(v2c, pad)
             for t in range(d_max - 2, -1, -1):
                 right[t] = box(right[t + 1], v2c[t + 1])
             c2v = np.clip(box(left, right), -s_max, s_max).astype(np.int32)
@@ -259,16 +283,5 @@ def bp_decode(
                 ok = True
                 break
 
-    posterior = LlrqVector(
-        np.clip(-tot[:-1], -s_max, s_max).astype(np.int32),
-        q=init.q,
-        s_max=s_max,
-        k=init.k,
-    )
-    return DecodeOutcome(
-        hard_bits=bits[:-1],
-        posterior=posterior,
-        iterations_used=iterations,
-        syndrome_ok=bool(ok),
-        c2v=c2v.T[lay.valid.T],
-    )
+    posterior = np.clip(-tot[:-1], -s_max, s_max).astype(np.int32)
+    return iterations, bool(ok), bits[:-1], posterior, c2v.T[lay.valid.T]

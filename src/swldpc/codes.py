@@ -132,28 +132,24 @@ class EdgeLayout:
 
     cols has shape (d_max, m), transposed so that one step of a scan along
     every row at once reads one contiguous array: cols[t, i] is the column of
-    the t-th one of row i, in increasing column order. Rows with fewer than d_max ones are padded
-    with the sentinel column n, which reads 0 as a bit and whose sums are
-    discarded. valid = cols < n marks the real edges; valid.T selects them in
-    row-major order, the order of H's edges outside this class.
-
-    The compiled kernels read the same edges unpadded: edge_col lists every
-    column index in that row-major order and row i's edges are
-    edge_col[row_ptr[i]:row_ptr[i + 1]], both int32.
+    the t-th one of row i, in increasing column order. Rows with fewer than
+    d_max ones are padded with the sentinel column n, which reads 0 as a bit
+    and whose sums are discarded. valid = cols < n marks the real edges, of
+    which there are edges; valid.T selects them in row-major order, the order
+    of H's edges outside this class. The numpy code and the compiled kernels
+    walk the same matrix.
     """
 
-    __slots__ = ("cols", "valid", "row_ptr", "edge_col")
+    __slots__ = ("cols", "valid", "edges")
 
     def __init__(self, mat: "SparseParityMatrix"):
         deg = mat.row_weights()
         real = np.arange(deg.max()) < deg[:, None]
-        self.edge_col = np.concatenate(mat.rows).astype(np.int32)
-        self.row_ptr = np.zeros(mat.n_rows + 1, dtype=np.int32)
-        np.cumsum(deg, out=self.row_ptr[1:])
         cols = np.full(real.shape, mat.n_cols, dtype=np.intp)
-        cols[real] = self.edge_col
+        cols[real] = np.concatenate(mat.rows)
         self.cols = np.ascontiguousarray(cols.T)
         self.valid = self.cols < mat.n_cols
+        self.edges = int(deg.sum())
 
     def row_parity(self, bits_ext: np.ndarray) -> np.ndarray:
         """Parity of every row for a 0/1 word of length n + 1 whose last

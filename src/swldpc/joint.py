@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bp import DEFAULT_Q, DEFAULT_S_MAX, LlrqVector, bp_decode, init_from_side_info
+from .bp import DEFAULT_Q, DEFAULT_S_MAX, LlrqVector, _side_info_llr, bp_decode
 from .codes import SparseParityMatrix
 from .encoding import as_bit_array
 
@@ -88,13 +88,8 @@ def estimate_alpha(x_hat, y) -> CorrelationState:
     x_hat = np.asarray(x_hat)
     y = as_bit_array(y, x_hat.size, "side information")
     x_hat = as_bit_array(x_hat, y.size, "reconstruction")
-    k = int(y.size)
-    if k < 2:
-        raise ValueError("need at least two bits to estimate a flip rate")
-    w = int(np.count_nonzero(x_hat ^ y))
-    w = min(max(w, 1), k - 1)
-    alpha = math.log(w) - math.log(k - w)
-    return CorrelationState(alpha=alpha, p_hat=w / k)
+    _check_two_bits(y.size)
+    return _hard_estimate(x_hat, y)
 
 
 def estimate_alpha_posterior(posterior: LlrqVector, y) -> CorrelationState:
@@ -105,17 +100,34 @@ def estimate_alpha_posterior(posterior: LlrqVector, y) -> CorrelationState:
     in estimate_alpha, w is clamped to [1, k-1] and alpha = log(w) - log(k - w).
     """
     y = as_bit_array(y, np.asarray(y).size, "side information")
-    k = int(y.size)
+    _check_two_bits(y.size)
+    if posterior.values.size < y.size:
+        raise ValueError(f"posterior has {posterior.values.size} values for k={y.size}")
+    return _posterior_estimate(posterior, y)
+
+
+def _check_two_bits(k: int) -> None:
     if k < 2:
         raise ValueError("need at least two bits to estimate a flip rate")
-    if posterior.values.size < k:
-        raise ValueError(f"posterior has {posterior.values.size} values for k={k}")
+
+
+def _log_odds(w, k: int) -> CorrelationState:
+    w = min(max(w, 1), k - 1)
+    return CorrelationState(alpha=math.log(w) - math.log(k - w), p_hat=w / k)
+
+
+def _hard_estimate(x_hat: np.ndarray, y: np.ndarray) -> CorrelationState:
+    """estimate_alpha on checked 0/1 arrays of one length k >= 2."""
+    return _log_odds(int(np.count_nonzero(x_hat ^ y)), y.size)
+
+
+def _posterior_estimate(posterior: LlrqVector, y: np.ndarray) -> CorrelationState:
+    """estimate_alpha_posterior on a checked 0/1 array y of length k >= 2,
+    at most the posterior's length."""
+    k = y.size
     llr = posterior.values[:k] / float(2**posterior.q)
     # P(x_i != y_i) = 1 / (1 + exp(+-llr)), written with tanh to stay finite
-    w = float(np.sum(0.5 - 0.5 * np.tanh(0.5 * (2.0 * y - 1.0) * llr)))
-    w = min(max(w, 1.0), k - 1.0)
-    alpha = math.log(w) - math.log(k - w)
-    return CorrelationState(alpha=alpha, p_hat=w / k)
+    return _log_odds(float(np.sum(0.5 - 0.5 * np.tanh(0.5 * (2.0 * y - 1.0) * llr))), k)
 
 
 def joint_decode(
@@ -149,6 +161,7 @@ def joint_decode(
     """
     z = as_bit_array(z, h.m, "parity block")
     y = as_bit_array(y, h.k, "side information")
+    _check_two_bits(h.k)
     alpha = initial_alpha(design_p)
 
     trace: list[GlobalIterationRecord] = []
@@ -156,15 +169,15 @@ def joint_decode(
     outcome = None
     kept = None  # (outcome, estimate) of the last pass that decoded
     for i in range(1, max_global + 1):
-        init = init_from_side_info(y, z, alpha, q=q, s_max=s_max)
+        init = _side_info_llr(y, z, alpha, q, s_max)
         c2v = None if outcome is None else outcome.c2v
         outcome = bp_decode(h, init, max_local_iters=max_local, kernel=kernel, c2v=c2v)
         local_total += outcome.iterations_used
         if outcome.syndrome_ok and np.array_equal(outcome.hard_bits[h.k :], z):
-            est = estimate_alpha(outcome.hard_bits[: h.k], y)
+            est = _hard_estimate(outcome.hard_bits[: h.k], y)
             kept = (outcome, est)
         else:
-            est = estimate_alpha_posterior(outcome.posterior, y)
+            est = _posterior_estimate(outcome.posterior, y)
         trace.append(
             GlobalIterationRecord(
                 index=i, alpha=est.alpha, p_hat=est.p_hat, syndrome_ok=outcome.syndrome_ok
@@ -205,9 +218,10 @@ def non_iterative_decode(
     """
     z = as_bit_array(z, h.m, "parity block")
     y = as_bit_array(y, h.k, "side information")
-    init = init_from_side_info(y, z, initial_alpha(design_p), q=q, s_max=s_max)
+    _check_two_bits(h.k)
+    init = _side_info_llr(y, z, initial_alpha(design_p), q, s_max)
     outcome = bp_decode(h, init, max_local_iters=max_local, kernel=kernel)
-    est = estimate_alpha(outcome.hard_bits[: h.k], y)
+    est = _hard_estimate(outcome.hard_bits[: h.k], y)
     record = GlobalIterationRecord(
         index=1, alpha=est.alpha, p_hat=est.p_hat, syndrome_ok=outcome.syndrome_ok
     )

@@ -81,6 +81,40 @@ class TestLlrqVector:
         with pytest.raises(ValueError):
             sw.LlrqVector(values=np.array([1]), q=-1, s_max=10, k=0)
 
+    def test_s_max_bound(self):
+        assert sw.S_MAX_LIMIT == 2**29
+        sw.LlrqVector(values=np.array([-(2**29), 2**29]), q=3, s_max=2**29, k=1)
+        for s_max in (2**29 + 1, 2**30, 2**31 - 1, 2**40):
+            with pytest.raises(ValueError, match="s_max"):
+                sw.LlrqVector(values=np.array([1]), q=3, s_max=s_max, k=0)
+
+    @pytest.mark.parametrize("s_max", [2**29 + 1, 2**30, 2**31 - 1])
+    def test_s_max_above_bound_rejected(self, backend, toy_code, s_max):
+        # Past the bound the numpy code's pad and |a +- b| would leave int32.
+        _, y, z = _noisy_frame(toy_code, 0.05, 1)
+        with pytest.raises(ValueError, match="s_max"):
+            sw.init_from_side_info(y, z, -2.9, s_max=s_max)
+        with pytest.raises(ValueError, match="s_max"):
+            sw.joint_decode(toy_code, z, y, 0.05, s_max=s_max)
+        with pytest.raises(ValueError, match="s_max"):
+            sw.non_iterative_decode(toy_code, z, y, 0.05, s_max=s_max)
+
+    def test_backends_agree_at_the_bound(self, c_backend, monkeypatch, toy_code, small_code):
+        for h in (toy_code, small_code, _one_edge_row_code()):
+            for seed in range(4):
+                _, y, z = _noisy_frame(h, 0.08, seed)
+                init = sw.init_from_side_info(y, z, -2.4, q=3, s_max=sw.S_MAX_LIMIT)
+                for kernel in ("table", "minsum"):
+                    runs = []
+                    for lib in (c_backend, None):  # None: the numpy code
+                        with monkeypatch.context() as mp:
+                            mp.setattr(_native, "_lib", lib)
+                            cold = sw.bp_decode(h, init, 3, kernel)
+                            warm = sw.bp_decode(h, init, 20, kernel, c2v=cold.c2v)
+                        runs.append((cold, warm))
+                    for got, want in zip(*runs):
+                        _assert_same_outcome(got, want)
+
     def test_init_from_side_info_fields(self, small_code):
         k, m = small_code.k, small_code.n_rows
         y = np.zeros(k, dtype=np.uint8)

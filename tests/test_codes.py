@@ -189,10 +189,9 @@ class TestConstruction:
         assert np.array_equal(lay.valid, lay.cols < h.n_cols)
         assert (lay.cols[~lay.valid] == h.n_cols).all()
         assert np.array_equal(lay.cols.T[lay.valid.T], np.concatenate(h.rows))
-        # The compiled kernels' unpadded view lists the same edges.
-        assert lay.row_ptr.dtype == lay.edge_col.dtype == np.int32
-        assert lay.row_ptr.tolist() == [0, *np.cumsum(deg).tolist()]
-        assert np.array_equal(lay.edge_col, np.concatenate(h.rows))
+        assert lay.edges == deg.sum()
+        # The compiled kernels take cols as it is: C-contiguous, pointer-sized.
+        assert lay.cols.dtype == np.intp and lay.cols.flags.c_contiguous
 
     def test_compiled_placement_matches_numpy(self, c_backend, monkeypatch):
         # Random geometries, BFS depths 1 to 6, two-valued and explicit

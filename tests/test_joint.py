@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import swldpc as sw
+from swldpc import _native
 from oracles import alpha_ref
 
 
@@ -219,6 +220,120 @@ class TestJointDecode:
         assert res.success
         assert np.array_equal(res.x_hat, x)
         assert res.final_state.p_hat == np.count_nonzero(x ^ y) / desk_code.k
+
+
+NOT_BITS = [2, 0.5, np.nan]
+
+
+class TestValidation:
+    """joint_decode checks y and z once; the public helpers it no longer
+    calls per pass keep their own checks."""
+
+    @pytest.mark.parametrize("bad", NOT_BITS)
+    @pytest.mark.parametrize("which", ["y", "z"])
+    def test_decoders_reject_non_bits(self, desk_code, which, bad):
+        x, y, z = _frame(desk_code, 0.02, seed=3)
+        y, z = y.astype(float), z.astype(float)
+        (y if which == "y" else z)[5] = bad
+        with pytest.raises(ValueError, match="only 0s and 1s"):
+            sw.joint_decode(desk_code, z, y, design_p=0.05)
+        with pytest.raises(ValueError, match="only 0s and 1s"):
+            sw.non_iterative_decode(desk_code, z, y, design_p=0.05)
+
+    @pytest.mark.parametrize("bad", NOT_BITS)
+    def test_public_helpers_reject_non_bits(self, desk_code, bad):
+        x, y, z = _frame(desk_code, 0.02, seed=3)
+        bad_y, bad_z = y.astype(float), z.astype(float)
+        bad_y[7] = bad_z[7] = bad
+        alpha = sw.initial_alpha(0.05)
+        post = sw.bp_decode(desk_code, sw.init_from_side_info(y, z, alpha)).posterior
+        calls = [
+            lambda: sw.init_from_side_info(bad_y, z, alpha),
+            lambda: sw.init_from_side_info(y, bad_z, alpha),
+            lambda: sw.estimate_alpha(bad_y, y),
+            lambda: sw.estimate_alpha(x, bad_y),
+            lambda: sw.estimate_alpha_posterior(post, bad_y),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="only 0s and 1s"):
+                call()
+
+    def test_public_helpers_keep_their_other_checks(self, desk_code):
+        x, y, z = _frame(desk_code, 0.02, seed=3)
+        with pytest.raises(ValueError, match="finite"):
+            sw.init_from_side_info(y, z, math.inf)
+        with pytest.raises(ValueError, match="two bits"):
+            sw.estimate_alpha(x[:1], y[:1])
+        init = sw.init_from_side_info(y, z, -2.9)
+        with pytest.raises(ValueError, match="two bits"):
+            sw.estimate_alpha_posterior(init, y[:1])
+        with pytest.raises(ValueError, match="posterior has"):
+            sw.estimate_alpha_posterior(sw.LlrqVector(init.values[:10]), y)
+        with pytest.raises(ValueError, match="init has"):
+            sw.bp_decode(desk_code, sw.LlrqVector(init.values[:-1]))
+
+
+def _joint_fields(res):
+    trace = [dataclasses.astuple(r) for r in res.final_state.trace]
+    return (res.x_hat.dtype, res.x_hat.tolist(), res.success, res.global_iters_used,
+            res.local_iters_total, res.final_state.alpha, res.final_state.p_hat, trace)
+
+
+def _ragged_code():
+    """k=240 code whose 60 rows hold 1 to 30 ones: its padded layout is
+    mostly pads, and row 0 is a single parity bit."""
+    rng = np.random.default_rng(77)
+    k, m = 240, 60
+    weights = [1] + rng.permutation(np.resize(np.arange(2, 31), m - 1)).tolist()
+    rows = []
+    for i, w in enumerate(weights):
+        par = [k] if i == 0 else [k + i - 1, k + i]
+        chosen = rng.choice(k, size=w - len(par), replace=False)
+        rows.append(sorted(chosen.tolist()) + par)
+    return sw.SparseParityMatrix(n_rows=m, n_cols=k + m, k=k, rows=rows, design_p=0.02)
+
+
+class TestBackendsAgree:
+    """joint_decode under the compiled loop and under numpy, field by field."""
+
+    def _both(self, c_backend, monkeypatch, decode):
+        results = []
+        for lib in (c_backend, None):  # None: the numpy code
+            with monkeypatch.context() as mp:
+                mp.setattr(_native, "_lib", lib)
+                results.append(decode())
+        return results
+
+    def test_d2_waterfall(self, c_backend, monkeypatch):
+        # p = 0.025 +- 0.005 on D2 (design 0.02): a share of the passes fail,
+        # so the posterior estimate and the warm start between passes run.
+        h = sw.build_code(sw.get_code_spec("D2"), seed=0)
+        rng = np.random.default_rng(np.random.SeedSequence((2525, 40)))
+        failed_passes = 0
+        for f in range(40):
+            p = 0.02 + 0.01 * rng.random()
+            x = rng.integers(0, 2, h.k).astype(np.uint8)
+            y = (x ^ (rng.random(h.k) < p)).astype(np.uint8)
+            z = sw.encode(h, x)
+            got, want = self._both(
+                c_backend, monkeypatch, lambda: sw.joint_decode(h, z, y, h.design_p)
+            )
+            assert _joint_fields(got) == _joint_fields(want), f
+            failed_passes += sum(not r.syndrome_ok for r in got.final_state.trace)
+        assert failed_passes > 0
+
+    @pytest.mark.parametrize("kernel,q,s_max", [("table", 3, 10000), ("minsum", 3, 10000),
+                                                ("table", 2, 20)])
+    def test_ragged_rows(self, c_backend, monkeypatch, kernel, q, s_max):
+        h = _ragged_code()
+        assert sorted(set(h.row_weights().tolist())) == list(range(1, 31))
+        for f, p in enumerate(np.linspace(0.005, 0.06, 12)):
+            x, y, z = _frame(h, p, seed=[f, 9])
+            got, want = self._both(
+                c_backend, monkeypatch,
+                lambda: sw.joint_decode(h, z, y, 0.02, kernel=kernel, q=q, s_max=s_max),
+            )
+            assert _joint_fields(got) == _joint_fields(want), (f, p)
 
 
 class TestNonIterativeDecode:
