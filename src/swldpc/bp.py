@@ -71,8 +71,8 @@ class DecodeOutcome:
     c2v holds the check-to-variable messages of the last round, one per edge
     in row-major order, the order of np.concatenate(h.rows) (all zero when no
     round ran from a cold start); passing it back to bp_decode warm-starts
-    the next run. Inside bp_decode the messages live in the code's padded
-    EdgeLayout and are converted through its valid mask on entry and exit.
+    the next run. Inside bp_decode, under either backend, the messages live
+    in the code's padded EdgeLayout and are converted on entry and exit.
     """
 
     hard_bits: np.ndarray
