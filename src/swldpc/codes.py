@@ -470,6 +470,31 @@ def _ints(line: str, lineno: int) -> list:
         raise AlistFormatError(f"line {lineno}: expected integers, got {line!r}") from None
 
 
+def _header_design_p(tok: str) -> float | None:
+    """design_p from the header: 'none', or a float in (0, 0.5) as CodeSpec requires."""
+    if tok == "none":
+        return None
+    try:
+        p = float(tok)
+    except ValueError:
+        p = None
+    if p is None or not 0.0 < p < 0.5:
+        raise AlistFormatError(f"line 1: design_p must be 'none' or lie in (0, 0.5), got {tok!r}")
+    return p
+
+
+def _degrees(line: str, lineno: int, count: int, max_deg: int, kind: str) -> list:
+    degs = _ints(line, lineno)
+    if len(degs) != count:
+        raise AlistFormatError(f"line {lineno}: expected {count} {kind} degrees, got {len(degs)}")
+    for j, d in enumerate(degs):
+        if not 0 <= d <= max_deg:
+            raise AlistFormatError(
+                f"line {lineno}: degree {d} of {kind} {j + 1} outside 0..{max_deg}"
+            )
+    return degs
+
+
 def load_alist(source) -> SparseParityMatrix:
     """Parse an extended alist file back into a SparseParityMatrix.
 
@@ -498,8 +523,7 @@ def load_alist(source) -> SparseParityMatrix:
         k = int(fields["k"])
     except (KeyError, ValueError):
         raise AlistFormatError("line 1: header must carry k=<int>") from None
-    dp_tok = fields.get("design_p", "none")
-    design_p = None if dp_tok == "none" else float(dp_tok)
+    design_p = _header_design_p(fields.get("design_p", "none"))
 
     dims = _ints(need(1), 2)
     if len(dims) != 2:
@@ -514,12 +538,8 @@ def load_alist(source) -> SparseParityMatrix:
         raise AlistFormatError("line 3: expected 'max_col_degree max_row_degree'")
     max_col, max_row = maxdeg
 
-    col_deg = _ints(need(3), 4)
-    if len(col_deg) != n_cols:
-        raise AlistFormatError(f"line 4: expected {n_cols} column degrees, got {len(col_deg)}")
-    row_deg = _ints(need(4), 5)
-    if len(row_deg) != n_rows:
-        raise AlistFormatError(f"line 5: expected {n_rows} row degrees, got {len(row_deg)}")
+    col_deg = _degrees(need(3), 4, n_cols, max_col, "column")
+    row_deg = _degrees(need(4), 5, n_rows, max_row, "row")
 
     def read_block(start, count, degs, limit, max_deg, kind):
         out = []

@@ -301,6 +301,30 @@ class TestAlist:
         with pytest.raises(sw.AlistFormatError):
             sw.load_alist(io.StringIO("\n".join(lines) + "\n"))
 
+    @pytest.mark.parametrize("tok", ["abc", "nan", "inf", "0.7", "0.5", "0", "-0.05"])
+    def test_rejects_design_p_outside_open_interval(self, tok):
+        _, text = self._tiny_text()
+        text = text.replace("design_p=none", f"design_p={tok}", 1)
+        with pytest.raises(sw.AlistFormatError, match=r"^line 1: design_p must be"):
+            sw.load_alist(io.StringIO(text))
+
+    def test_accepts_design_p_inside_open_interval(self):
+        _, text = self._tiny_text()
+        h = sw.load_alist(io.StringIO(text.replace("design_p=none", "design_p=0.25", 1)))
+        assert h.design_p == 0.25
+
+    @pytest.mark.parametrize("lineno,deg", [(4, "-1"), (4, "3"), (5, "-1"), (5, "6")])
+    def test_rejects_degree_outside_line_3_maximum(self, lineno, deg):
+        # Line 3 of the tiny code reads "2 5": column degrees lie in 0..2,
+        # row degrees in 0..5.
+        _, text = self._tiny_text()
+        lines = text.splitlines()
+        parts = lines[lineno - 1].split()
+        parts[0] = deg
+        lines[lineno - 1] = " ".join(parts)
+        with pytest.raises(sw.AlistFormatError, match=rf"^line {lineno}: degree {deg} of"):
+            sw.load_alist(io.StringIO("\n".join(lines) + "\n"))
+
     def test_rejects_missing_comment(self):
         _, text = self._tiny_text()
         body = "\n".join(text.splitlines()[1:]) + "\n"
