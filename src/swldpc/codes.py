@@ -189,18 +189,28 @@ class SparseParityMatrix:
             )
         if len(self.rows) != self.n_rows:
             raise ValueError(f"got {len(self.rows)} row lists for n_rows={self.n_rows}")
-        k, m = self.k, self.n_rows
-        for i, r in enumerate(self.rows):
-            if r.size and (r[0] < 0 or r[-1] >= self.n_cols):
-                raise ValueError(f"row {i}: column index out of range [0, {self.n_cols})")
-            if np.any(np.diff(r) <= 0):
-                raise ValueError(f"row {i}: column indices must be strictly increasing")
-            par = r[r >= k]
-            want = [k] if i == 0 else [k + i - 1, k + i]
-            if par.tolist() != want:
-                raise ValueError(
-                    f"row {i}: staircase columns are {par.tolist()}, expected {want}"
-                )
+        flat = np.concatenate(self.rows) if self.rows else np.zeros(0, np.int32)
+        bad = _first_bad_row(flat, self.row_weights(), self.n_cols, self.k)
+        if bad is None:
+            return
+        i, reason = bad
+        if reason == "range":
+            raise ValueError(f"row {i}: column index out of range [0, {self.n_cols})")
+        if reason == "order":
+            raise ValueError(f"row {i}: column indices must be strictly increasing")
+        r = self.rows[i]
+        raise ValueError(
+            f"row {i}: staircase columns are {r[r >= self.k].tolist()}, "
+            f"expected {_staircase(i, self.k)}"
+        )
+
+    @classmethod
+    def _checked(cls, n_rows, n_cols, k, rows, design_p) -> "SparseParityMatrix":
+        """An instance from int32 rows that already pass validate()."""
+        mat = cls.__new__(cls)
+        mat.n_rows, mat.n_cols, mat.k, mat.rows, mat.design_p = n_rows, n_cols, k, rows, design_p
+        mat._layout = None
+        return mat
 
     @property
     def n(self) -> int:
@@ -278,6 +288,51 @@ class SparseParityMatrix:
     encode_plan = decode_plan
 
 
+def _staircase(i: int, k: int) -> list:
+    """The staircase columns of row i."""
+    return [k] if i == 0 else [k + i - 1, k + i]
+
+
+def _first_bad_row(flat: np.ndarray, deg: np.ndarray, n_cols: int, k: int):
+    """The first row that is not a valid row of H, and why, or None.
+
+    flat holds the rows' column indices back to back and deg their lengths.
+    A row fails with "range" when its first or last index lies outside
+    [0, n_cols), with "order" when its indices do not strictly increase,
+    and with "staircase" when its indices >= k are not _staircase(i, k);
+    the tests run in that order.
+    """
+    m = deg.size
+    end = np.cumsum(deg)
+    begin = end - deg
+    # pads keep every read in bounds: three before flat for the last three
+    # entries of short rows, one after it for the first entry of empty ones;
+    # what a short or empty row reads is masked below
+    pad = np.concatenate((np.zeros(3, flat.dtype), flat, np.zeros(1, flat.dtype)))
+    last, second, third = pad[end + 2], pad[end + 1], pad[end]
+    bad_range = (deg > 0) & ((pad[begin + 3] < 0) | (last >= n_cols))
+    # np.diff wraps in the rows' dtype exactly as a per-row np.diff would
+    step_bad = np.diff(flat) <= 0
+    step_bad[begin[(begin > 0) & (deg > 0)] - 1] = False  # steps across a row boundary
+    bad_order = np.zeros(m, bool)
+    bad_order[np.searchsorted(end, np.flatnonzero(step_bad), side="right")] = True
+    # a strictly increasing row holds its indices >= k at its end
+    i = np.arange(m)
+    bad_stair = (
+        (deg < 2)
+        | (last != k + i)
+        | (second != k + i - 1)
+        | ((deg > 2) & (third >= k))
+    )
+    if m:
+        bad_stair[0] = deg[0] < 1 or last[0] != k
+    bad = np.flatnonzero(bad_range | bad_order | bad_stair)
+    if bad.size == 0:
+        return None
+    j = int(bad[0])
+    return j, "range" if bad_range[j] else "order" if bad_order[j] else "staircase"
+
+
 # -- construction -----------------------------------------------------------
 
 
@@ -341,8 +396,7 @@ def build_code(spec: CodeSpec, seed: int = 0, max_bfs_levels: int = 4) -> Sparse
     sys_rows = np.split(edge_var[order], np.cumsum(np.bincount(edge_chk, minlength=m))[:-1])
     rows = []
     for i in range(m):
-        stair = [k] if i == 0 else [k + i - 1, k + i]
-        rows.append(np.concatenate([sys_rows[i], np.asarray(stair)]).astype(np.int32))
+        rows.append(np.concatenate([sys_rows[i], _staircase(i, k)]).astype(np.int32))
     return SparseParityMatrix(
         n_rows=m, n_cols=spec.n, k=k, rows=rows, design_p=spec.design_p
     )
@@ -470,6 +524,47 @@ def _ints(line: str, lineno: int) -> list:
         raise AlistFormatError(f"line {lineno}: expected integers, got {line!r}") from None
 
 
+_CLAMP = 1 << 62
+
+
+def _line_ints(lines: list) -> tuple[np.ndarray, np.ndarray, int]:
+    """The whitespace-separated tokens of lines, read as int() reads them.
+
+    Returns (values, counts, bad): the tokens' values in order as int64, the
+    number of tokens on each line, and the index of the first line with a
+    token int() rejects (len(lines) if none does); values from that line on
+    are unspecified. Magnitudes above 2**62 are clamped to 2**62.
+
+    Text of ASCII digits, blanks and tabs, as save_alist writes it, is
+    parsed in array passes; anything else token by token with int().
+    """
+    text = "\n".join(lines)
+    if lines and text.isascii():
+        ch = np.frombuffer(text.encode("ascii"), np.uint8)
+        digit = (ch - 48) < 10  # uint8 wraps below '0'
+        if (digit | (ch == 32) | ((ch - 9) < 5)).all():  # digits, blank, \t to \r
+            edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+            start, end = edges.reshape(-1, 2).T
+            if start.size == 0 or (end - start).max() <= 18:  # 18 digits always fit int64
+                newline = np.flatnonzero(ch == 10)
+                counts = np.diff(np.searchsorted(start, newline), prepend=0, append=start.size)
+                if start.size == 0:  # fromstring would read blank text as one 0
+                    return np.zeros(0, np.int64), counts, len(lines)
+                return np.fromstring(text, np.int64, sep=" "), counts, len(lines)
+    words = [line.split() for line in lines]
+    counts = np.fromiter(map(len, words), np.intp, len(words))
+    values = np.zeros(int(counts.sum()), np.int64)
+    t = 0
+    for j, line_words in enumerate(words):
+        for tok in line_words:
+            try:
+                values[t] = max(-_CLAMP, min(_CLAMP, int(tok)))
+            except ValueError:
+                return values, counts, j
+            t += 1
+    return values, counts, len(lines)
+
+
 def _header_design_p(tok: str) -> float | None:
     """design_p from the header: 'none', or a float in (0, 0.5) as CodeSpec requires."""
     if tok == "none":
@@ -483,16 +578,25 @@ def _header_design_p(tok: str) -> float | None:
     return p
 
 
-def _degrees(line: str, lineno: int, count: int, max_deg: int, kind: str) -> list:
-    degs = _ints(line, lineno)
-    if len(degs) != count:
-        raise AlistFormatError(f"line {lineno}: expected {count} {kind} degrees, got {len(degs)}")
-    for j, d in enumerate(degs):
-        if not 0 <= d <= max_deg:
-            raise AlistFormatError(
-                f"line {lineno}: degree {d} of {kind} {j + 1} outside 0..{max_deg}"
-            )
-    return degs
+def _block_error(vals: np.ndarray, degs: np.ndarray, limit: int, kind: str):
+    """First line of an index block that fails, and why, or None.
+
+    vals holds one zero-padded line per row; degs the degree of each line.
+    A line's checks run in the order padding, range, strictly increasing.
+    """
+    body = np.arange(vals.shape[1]) < degs[:, None]
+    bad_pad = ((vals != 0) & ~body).any(1)
+    bad_range = (body & ((vals < 1) | (vals > limit))).any(1)
+    bad_order = (body[:, 1:] & (vals[:, 1:] <= vals[:, :-1])).any(1)
+    bad = np.flatnonzero(bad_pad | bad_range | bad_order)
+    if bad.size == 0:
+        return None
+    j = int(bad[0])
+    if bad_pad[j]:
+        return j, "nonzero entry in zero padding"
+    if bad_range[j]:
+        return j, f"{kind} index out of range 1..{limit}"
+    return j, "indices must be strictly increasing"
 
 
 def load_alist(source) -> SparseParityMatrix:
@@ -501,6 +605,9 @@ def load_alist(source) -> SparseParityMatrix:
     Raises AlistFormatError with the offending 1-based line number on any
     structural problem: bad counts, out-of-range indices, unsorted or
     duplicate entries, inconsistent column/row lists, or a broken staircase.
+    Lines are checked in file order and each line's checks in a fixed
+    order, so the error names the first bad line, though the lists are
+    parsed and checked as whole arrays.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -538,54 +645,85 @@ def load_alist(source) -> SparseParityMatrix:
         raise AlistFormatError("line 3: expected 'max_col_degree max_row_degree'")
     max_col, max_row = maxdeg
 
-    col_deg = _degrees(need(3), 4, n_cols, max_col, "column")
-    row_deg = _degrees(need(4), 5, n_rows, max_row, "row")
+    # Lines 4 on as one token array; r counts lines from line 4.
+    end = 5 + n_cols + n_rows
+    values, counts, bad_line = _line_ints(lines[3:end])
+    offset = np.concatenate(([0], np.cumsum(counts)))
 
-    def read_block(start, count, degs, limit, max_deg, kind):
-        out = []
-        for j in range(count):
-            lineno = start + j + 1
-            vals = _ints(need(start + j), lineno)
-            if len(vals) != max_deg:
+    def parse_error(r, want, what):
+        """The error of line 4 + r, whose tokens are not `want` integers."""
+        need(3 + r)
+        if r == bad_line:
+            raise AlistFormatError(f"line {4 + r}: expected integers, got {lines[3 + r]!r}")
+        raise AlistFormatError(f"line {4 + r}: expected {want} {what}, got {counts[r]}")
+
+    def degrees(r, count, max_deg, kind):
+        if r >= counts.size or r == bad_line or counts[r] != count:
+            parse_error(r, count, f"{kind} degrees")
+        degs = values[offset[r] : offset[r] + count]
+        # a clamped value is compared exactly: line 3 may allow more than 2**62
+        for j in np.flatnonzero((degs < 0) | (degs > max_deg) | (degs == _CLAMP)).tolist():
+            d = int(lines[3 + r].split()[j])
+            if not 0 <= d <= max_deg:
                 raise AlistFormatError(
-                    f"line {lineno}: expected {max_deg} entries (zero-padded), got {len(vals)}"
+                    f"line {4 + r}: degree {d} of {kind} {j + 1} outside 0..{max_deg}"
                 )
-            body, pad = vals[: degs[j]], vals[degs[j] :]
-            if any(p != 0 for p in pad):
-                raise AlistFormatError(f"line {lineno}: nonzero entry in zero padding")
-            if any(not 1 <= x <= limit for x in body):
-                raise AlistFormatError(f"line {lineno}: {kind} index out of range 1..{limit}")
-            if any(b >= a for a, b in zip(body[1:], body)):
-                raise AlistFormatError(f"line {lineno}: indices must be strictly increasing")
-            out.append([x - 1 for x in body])
-        return out
+        return degs
 
-    cols = read_block(5, n_cols, col_deg, n_rows, max_col, "row")
-    rows = read_block(5 + n_cols, n_rows, row_deg, n_cols, max_row, "column")
-    if 5 + n_cols + n_rows < len(lines) and any(
-        line.strip() for line in lines[5 + n_cols + n_rows :]
-    ):
-        raise AlistFormatError(f"line {5 + n_cols + n_rows + 1}: trailing content")
+    def block(r, count, degs, limit, max_deg, kind):
+        """The lines of one index block, checked, as a (count, max_deg) array."""
+        parsed = max(0, min(count, counts.size - r, bad_line - r))
+        wrong = np.flatnonzero(counts[r : r + parsed] != max_deg)
+        if wrong.size:
+            parsed = int(wrong[0])
+        if parsed:
+            first = offset[r]
+            vals = values[first : first + parsed * max_deg].reshape(parsed, max_deg)
+            err = _block_error(vals, degs[:parsed], limit, kind)
+            if err is not None:
+                raise AlistFormatError(f"line {4 + r + err[0]}: {err[1]}")
+        if parsed < count:
+            parse_error(r + parsed, max_deg, "entries (zero-padded)")
+        return vals
 
-    # cross-check the two redundant views of the matrix
-    rebuilt = [[] for _ in range(n_cols)]
-    for i, r in enumerate(rows):
-        for c in r:
-            rebuilt[c].append(i)
-    for c in range(n_cols):
-        if rebuilt[c] != cols[c]:
-            raise AlistFormatError(
-                f"line {6 + c}: column list disagrees with the row lists for column {c + 1}"
-            )
+    col_deg = degrees(0, n_cols, max_col, "column")
+    row_deg = degrees(1, n_rows, max_row, "row")
+    cols = block(2, n_cols, col_deg, n_rows, max_col, "row")
+    rows = block(2 + n_cols, n_rows, row_deg, n_cols, max_row, "column")
+    if any(line.strip() for line in lines[end:]):
+        raise AlistFormatError(f"line {end + 1}: trailing content")
 
-    for i, r in enumerate(rows):
-        par = [c for c in r if c >= k]
-        want = [k] if i == 0 else [k + i - 1, k + i]
-        if par != want:
-            raise AlistFormatError(
-                f"line {6 + n_cols + i}: row {i} staircase columns are {par}, expected {want}"
-            )
+    # cross-check the two redundant views of the matrix: the row lists,
+    # regrouped by column, must repeat the column lists
+    edge_col = rows[np.arange(max_row) < row_deg[:, None]] - 1
+    edge_row = np.repeat(np.arange(n_rows), row_deg)
+    regrouped = edge_row[np.argsort(edge_col, kind="stable")]
+    listed = cols[np.arange(max_col) < col_deg[:, None]] - 1
+    # columns before the first whose degree differs sit at the same offsets
+    # in both lists, so their first differing entry names the first bad column
+    col_end = np.cumsum(col_deg)
+    diff_deg = np.flatnonzero(np.bincount(edge_col, minlength=n_cols) != col_deg)
+    bad_col = int(diff_deg[0]) if diff_deg.size else n_cols
+    shared = int(col_end[bad_col - 1]) if bad_col else 0
+    diff = np.flatnonzero(listed[:shared] != regrouped[:shared])
+    if diff.size:
+        bad_col = int(np.searchsorted(col_end, diff[0], side="right"))
+    if bad_col < n_cols:
+        raise AlistFormatError(
+            f"line {6 + bad_col}: column list disagrees with the row lists for column {bad_col + 1}"
+        )
 
-    return SparseParityMatrix(
-        n_rows=n_rows, n_cols=n_cols, k=k, rows=rows, design_p=design_p
+    flat = edge_col.astype(np.int32)
+    bad = _first_bad_row(flat, row_deg, n_cols, k)
+    row_end = np.cumsum(row_deg).tolist()
+    row_lists = [flat[a:b] for a, b in zip([0] + row_end[:-1], row_end)]
+    if bad is not None:  # rows are in range and increasing here, so it is the staircase
+        i = bad[0]
+        par = row_lists[i][row_lists[i] >= k].tolist()
+        raise AlistFormatError(
+            f"line {6 + n_cols + i}: row {i} staircase columns are {par}, "
+            f"expected {_staircase(i, k)}"
+        )
+    return SparseParityMatrix._checked(
+        n_rows=n_rows, n_cols=n_cols, k=k, rows=row_lists, design_p=design_p
     )

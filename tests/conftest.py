@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import swldpc as sw
 from swldpc import _native
+
+
+# Property tests draw the same examples on every run and keep Tier-1's time bounded.
+settings.register_profile("swldpc", derandomize=True, deadline=None, max_examples=300)
+settings.load_profile("swldpc")
 
 
 def _backend_line() -> str:

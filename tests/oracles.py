@@ -184,3 +184,138 @@ def bp_ref(rows, llr, s_max, table, max_iters, c2v=None):
         tot, v2c, bits, ok = variable_pass()
         rounds += 1
     return bits, rounds, ok, [clip(-t) for t in tot], msg
+
+
+_ALIST_HEADER = "# staircase-ldpc"
+
+
+def _staircase_ref(i: int, k: int) -> list:
+    return [k] if i == 0 else [k + i - 1, k + i]
+
+
+def validate_ref(n_rows: int, n_cols: int, k: int, rows: list) -> None:
+    """SparseParityMatrix.validate as a plain loop over the rows.
+
+    rows holds one int32 array per row. Raises ValueError with the message
+    the production check gives for the first bad row; within a row the
+    range test reads only the first and last entries, then come the strict
+    order and the staircase columns.
+    """
+    if n_rows != n_cols - k:
+        raise ValueError(f"n_rows={n_rows} must equal n_cols-k={n_cols - k}")
+    if len(rows) != n_rows:
+        raise ValueError(f"got {len(rows)} row lists for n_rows={n_rows}")
+    for i, r in enumerate(rows):
+        if r.size and (r[0] < 0 or r[-1] >= n_cols):
+            raise ValueError(f"row {i}: column index out of range [0, {n_cols})")
+        if np.any(np.diff(r) <= 0):
+            raise ValueError(f"row {i}: column indices must be strictly increasing")
+        par = r[r >= k].tolist()
+        want = _staircase_ref(i, k)
+        if par != want:
+            raise ValueError(f"row {i}: staircase columns are {par}, expected {want}")
+
+
+def load_alist_ref(text: str):
+    """The extended alist parser as a line-by-line loop over Python ints.
+
+    Returns (n_rows, n_cols, k, rows, design_p) with rows as lists of
+    0-based column indices. Raises ValueError carrying the message, 1-based
+    line number included, that load_alist gives for the first bad line;
+    every check of a line runs before the next line is read.
+    """
+    lines = text.splitlines()
+
+    def fail(lineno, what):
+        raise ValueError(f"line {lineno}: {what}")
+
+    def need(i):
+        if i >= len(lines):
+            fail(i + 1, "unexpected end of file")
+        return lines[i]
+
+    def ints(i):
+        line = need(i)
+        try:
+            return [int(tok) for tok in line.split()]
+        except ValueError:
+            fail(i + 1, f"expected integers, got {line!r}")
+
+    head = need(0)
+    if not head.startswith(_ALIST_HEADER):
+        fail(1, f"missing {_ALIST_HEADER!r} header comment")
+    fields = dict(tok.split("=", 1) for tok in head[len(_ALIST_HEADER) :].split() if "=" in tok)
+    try:
+        k = int(fields["k"])
+    except (KeyError, ValueError):
+        fail(1, "header must carry k=<int>")
+    dp_tok = fields.get("design_p", "none")
+    design_p = None
+    if dp_tok != "none":
+        try:
+            design_p = float(dp_tok)
+        except ValueError:
+            design_p = math.nan
+        if not 0.0 < design_p < 0.5:
+            fail(1, f"design_p must be 'none' or lie in (0, 0.5), got {dp_tok!r}")
+
+    dims = ints(1)
+    if len(dims) != 2:
+        fail(2, "expected 'n_cols n_rows'")
+    n_cols, n_rows = dims
+    if not 0 < k < n_cols or n_rows != n_cols - k:
+        fail(2, f"dimensions ({n_cols}, {n_rows}) inconsistent with k={k}")
+    maxdeg = ints(2)
+    if len(maxdeg) != 2:
+        fail(3, "expected 'max_col_degree max_row_degree'")
+    max_col, max_row = maxdeg
+
+    def degrees(i, count, max_deg, kind):
+        degs = ints(i)
+        if len(degs) != count:
+            fail(i + 1, f"expected {count} {kind} degrees, got {len(degs)}")
+        for j, d in enumerate(degs):
+            if not 0 <= d <= max_deg:
+                fail(i + 1, f"degree {d} of {kind} {j + 1} outside 0..{max_deg}")
+        return degs
+
+    col_deg = degrees(3, n_cols, max_col, "column")
+    row_deg = degrees(4, n_rows, max_row, "row")
+
+    def block(start, count, degs, limit, max_deg, kind):
+        out = []
+        for j in range(count):
+            lineno = start + j + 1
+            vals = ints(start + j)
+            if len(vals) != max_deg:
+                fail(lineno, f"expected {max_deg} entries (zero-padded), got {len(vals)}")
+            body, pad = vals[: degs[j]], vals[degs[j] :]
+            if any(p != 0 for p in pad):
+                fail(lineno, "nonzero entry in zero padding")
+            if any(not 1 <= x <= limit for x in body):
+                fail(lineno, f"{kind} index out of range 1..{limit}")
+            if any(b >= a for a, b in zip(body[1:], body)):
+                fail(lineno, "indices must be strictly increasing")
+            out.append([x - 1 for x in body])
+        return out
+
+    cols = block(5, n_cols, col_deg, n_rows, max_col, "row")
+    rows = block(5 + n_cols, n_rows, row_deg, n_cols, max_row, "column")
+    end = 5 + n_cols + n_rows
+    if any(line.strip() for line in lines[end:]):
+        fail(end + 1, "trailing content")
+
+    rebuilt = [[] for _ in range(n_cols)]
+    for i, r in enumerate(rows):
+        for c in r:
+            rebuilt[c].append(i)
+    for c in range(n_cols):
+        if rebuilt[c] != cols[c]:
+            fail(6 + c, f"column list disagrees with the row lists for column {c + 1}")
+
+    for i, r in enumerate(rows):
+        par = [c for c in r if c >= k]
+        want = _staircase_ref(i, k)
+        if par != want:
+            fail(6 + n_cols + i, f"row {i} staircase columns are {par}, expected {want}")
+    return n_rows, n_cols, k, rows, design_p
