@@ -10,9 +10,13 @@ one forward pass.
 
 Encoding, the hard syndrome and belief propagation all walk one cached
 EdgeLayout per code: H's column indices as a padded (d_max, m) matrix whose
-pads point at a sentinel column n, and the same edges as a row-major list for
-the compiled kernels. Its row_parity method is the one row-parity routine of
-the package.
+pads point at a sentinel column n, read by the numpy code and the compiled
+kernels alike. Its row_parity method is the one row-parity routine of the
+package.
+
+Codes are stored as alist text (MacKay's format) with one leading comment
+line. load_alist parses and checks each block of the file in whole-array
+passes and reports the first bad line, as a line-by-line reader would.
 """
 
 from __future__ import annotations

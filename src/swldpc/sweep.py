@@ -153,6 +153,10 @@ class PointReport:
 
 @dataclass
 class CodeSummary:
+    """One code of a sweep. setup_seconds is the wall time spent loading or
+    building it; like all timing it stays out of the CSV, and reports
+    written before it was recorded read back as 0.0."""
+
     code: str
     k: int
     n: int
@@ -160,6 +164,7 @@ class CodeSummary:
     total_rate: float
     design_p: float | None
     entropy_limit: float | None
+    setup_seconds: float = 0.0
 
 
 @dataclass
@@ -301,7 +306,9 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for ci, ref in enumerate(cfg.codes):
+            start = time.perf_counter()
             code_id, h = _resolve_code(str(ref), cfg.build_seed)
+            setup_seconds = time.perf_counter() - start
             rate_x = h.m / h.k
             code_summaries.append(
                 CodeSummary(
@@ -314,6 +321,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
                     entropy_limit=(
                         1.0 + binary_entropy(h.design_p) if h.design_p is not None else None
                     ),
+                    setup_seconds=setup_seconds,
                 )
             )
             for pi in range(len(cfg.points)):

@@ -209,3 +209,12 @@ class TestReports:
         parsed = json.loads(json_path.read_text())
         assert parsed["points"][0]["frames"] == 3
         assert "wall_seconds" in parsed["points"][0]
+        assert parsed["codes"][0]["setup_seconds"] > 0
+        assert "setup" not in text
+
+    def test_report_json_without_setup_seconds_loads(self):
+        cfg = sw.SweepConfig(codes=["D1"], points=[(0.01, 0.0)], frames=2)
+        raw = json.loads(sw.run_sweep(cfg).to_json())
+        del raw["codes"][0]["setup_seconds"]
+        again = sw.SweepReport.from_json(json.dumps(raw))
+        assert again.codes[0].setup_seconds == 0.0
