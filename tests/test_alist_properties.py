@@ -84,9 +84,6 @@ def _rewired_text(draw, h) -> str:
 
 
 def _mutate(draw, lines: list, k: int) -> None:
-    if len(lines) < 2:
-        lines.append(draw(_TOKENS))
-        return
     op = draw(st.integers(0, 9))
     j = draw(st.integers(1, len(lines) - 1))  # line 1 only changes through op 6
     if op in (0, 1, 2):  # edit one token
