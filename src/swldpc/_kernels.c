@@ -1,20 +1,27 @@
-/* Compiled kernels: the whole belief-propagation loop of bp.bp_decode and
- * the whole edge-placement loop of codes.build_code.
+/* Compiled kernels: the belief-propagation loop of bp.bp_decode and of the
+ * joint decoder's passes (bp.side_info_pass), systematic encoding, and the
+ * whole edge-placement loop of codes.build_code.
  *
  * swldpc._native compiles this file with the system C compiler and calls it
  * through ctypes, which releases the interpreter lock for the length of each
- * call. Nothing here keeps static state: every buffer is passed in by the
- * caller, so several threads may run the kernels at once. Both functions
- * reproduce the numpy code bit for bit; that code is the fallback when no
- * compiler works and the oracle the tests hold this file to.
+ * call. A joint-decoder pass is one call: it builds the channel values from
+ * y, z and two quantized levels, runs the BP loop, and compares the hard
+ * decisions with z and y, so that the Python between passes is small and
+ * several decoding threads overlap. bp_run and side_info_pass share one
+ * static loop body, bp_loop. Nothing here keeps static state: every buffer
+ * is passed in by the caller, so several threads may run the kernels at
+ * once. Every function reproduces the numpy code bit for bit; that code is
+ * the fallback when no compiler works and the oracle the tests hold this
+ * file to. The file compiles without warnings under -Wall -Wextra.
  */
 #include <stdint.h>
 
-/* On x86-64 with glibc, bp_run is built twice, for AVX2 and for the baseline
- * instruction set, and the loader picks the one the CPU runs (an ifunc). The
- * compile flags so stay portable; all arithmetic is integer, so both builds
- * give the same bits. Elsewhere, or with a compiler that does not know the
- * attribute, there is one baseline build. */
+/* On x86-64 with glibc, bp_run and side_info_pass are built twice, for AVX2
+ * and for the baseline instruction set, and the loader picks the one the CPU
+ * runs (an ifunc); bp_loop is inlined into each build. The compile flags so
+ * stay portable; all arithmetic is integer, so both builds give the same
+ * bits. Elsewhere, or with a compiler that does not know the attribute,
+ * there is one baseline build. */
 #if defined(__x86_64__) && defined(__GLIBC__)
 #define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
 #else
@@ -137,29 +144,21 @@ static inline void check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad,
     }
 }
 
-/* Flooding BP on the padded layout (d, m, cols) of an m x n matrix.
- * llr holds the stored channel values (positive favors 1). c2v_in holds the
- * starting check-to-variable messages, one per real edge in row-major order,
- * or is NULL for a cold start; c2v_out receives the last round's in that
- * order. pad is the box-plus identity on pads; table is NULL for min-sum.
- * work is scratch of n + 1 int64 values followed by 2 d m + m int32 values.
- * Outputs the n hard decisions, the clipped posterior (stored sign) and
- * *ok; returns the number of rounds run. */
-VECTOR_CLONES
-int32_t bp_run(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
-               int32_t s_max, int32_t pad, const int32_t *table, int32_t tmax,
-               int32_t max_iters, const int32_t *c2v_in, int64_t *work, uint8_t *bits,
-               int32_t *posterior, int32_t *c2v_out, int32_t *ok)
+/* The flooding loop of bp_run and side_info_pass, on the padded layout
+ * (d, m, cols) of an m x n matrix. llr holds the stored channel values
+ * (positive favors 1). c2v (d m) holds the starting check-to-variable
+ * messages in the padded layout and receives the last round's; the values
+ * on pads are never read, since their sums land on the sentinel, whose
+ * total is reset. work is scratch of n + 1 int64 values followed by d m + m
+ * int32 values. Outputs the n hard decisions, the clipped posterior (stored
+ * sign) and *ok; returns the number of rounds run. */
+static inline __attribute__((always_inline)) int32_t
+bp_loop(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
+        int32_t s_max, int32_t pad, const int32_t *table, int32_t tmax, int32_t max_iters,
+        int32_t *c2v, int64_t *work, uint8_t *bits, int32_t *posterior, int32_t *ok)
 {
-    int64_t entries = (int64_t)d * m, e = 0;
     int64_t *tot = work;
-    int32_t *c2v = (int32_t *)(work + n + 1), *v2c = c2v + entries, *acc = v2c + entries;
-    for (int64_t x = 0; x < entries; x++)
-        c2v[x] = 0;
-    if (c2v_in)
-        for (int32_t i = 0; i < m; i++)
-            for (int64_t x = i; x < entries && cols[x] < n; x += m)
-                c2v[x] = c2v_in[e++];
+    int32_t *v2c = (int32_t *)(work + n + 1), *acc = v2c + (int64_t)d * m;
     int32_t iters = 0;
     *ok = variable_pass(m, n, d, cols, llr, s_max, pad, c2v, v2c, tot, acc);
     while (!*ok && iters < max_iters) {
@@ -171,11 +170,85 @@ int32_t bp_run(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int3
         bits[j] = tot[j] < 0;
         posterior[j] = clip(-tot[j], s_max);
     }
+    return iters;
+}
+
+/* Flooding BP with messages in row-major edge order outside: c2v_in holds
+ * the starting messages, one per real edge, or is NULL for a cold start;
+ * c2v_out receives the last round's in that order. pad is the box-plus
+ * identity on pads; table is NULL for min-sum. work is scratch of n + 1
+ * int64 values followed by 2 d m + m int32 values. The other arguments and
+ * the outputs are bp_loop's. */
+VECTOR_CLONES
+int32_t bp_run(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
+               int32_t s_max, int32_t pad, const int32_t *table, int32_t tmax,
+               int32_t max_iters, const int32_t *c2v_in, int64_t *work, uint8_t *bits,
+               int32_t *posterior, int32_t *c2v_out, int32_t *ok)
+{
+    int64_t entries = (int64_t)d * m, e = 0;
+    int32_t *c2v = (int32_t *)(work + n + 1) + entries + m;
+    for (int64_t x = 0; x < entries; x++)
+        c2v[x] = 0;
+    if (c2v_in)
+        for (int32_t i = 0; i < m; i++)
+            for (int64_t x = i; x < entries && cols[x] < n; x += m)
+                c2v[x] = c2v_in[e++];
+    int32_t iters = bp_loop(m, n, d, cols, llr, s_max, pad, table, tmax, max_iters, c2v, work,
+                            bits, posterior, ok);
     e = 0;
     for (int32_t i = 0; i < m; i++)
         for (int64_t x = i; x < entries && cols[x] < n; x += m)
             c2v_out[e++] = c2v[x];
     return iters;
+}
+
+/* One pass of the side-information decoder on a code with k systematic
+ * columns: the channel values are level1 where y is 1 and level0 where it is
+ * 0, and +-s_max on the parity bits as z says; then bp_loop runs, warm from
+ * the padded messages in c2v (all zero for a cold start), which it updates.
+ * work is scratch of n + 1 int64 values followed by d m + m + n int32
+ * values. Writes the hard decisions and posterior to bits and posterior, and
+ * to stats the syndrome flag, whether the parity bits equal z, and the
+ * number of systematic bits that differ from y; returns the rounds run. */
+VECTOR_CLONES
+int32_t side_info_pass(int32_t m, int32_t n, int32_t k, int32_t d, const intptr_t *cols,
+                       const uint8_t *y, const uint8_t *z, int32_t s_max, int32_t pad,
+                       const int32_t *table, int32_t tmax, int32_t *c2v, int64_t *work,
+                       uint8_t *bits, int32_t *posterior, int32_t *stats, int32_t level1,
+                       int32_t level0, int32_t max_iters)
+{
+    int32_t *llr = (int32_t *)(work + n + 1) + (int64_t)d * m + m;
+    for (int32_t j = 0; j < k; j++)
+        llr[j] = y[j] ? level1 : level0;
+    for (int32_t j = k; j < n; j++)
+        llr[j] = z[j - k] ? s_max : -s_max;
+    int32_t iters = bp_loop(m, n, d, cols, llr, s_max, pad, table, tmax, max_iters, c2v, work,
+                            bits, posterior, &stats[0]);
+    int32_t same = 1, differ = 0;
+    for (int32_t j = k; j < n; j++)
+        same &= bits[j] == z[j - k];
+    for (int32_t j = 0; j < k; j++)
+        differ += bits[j] != y[j];
+    stats[1] = same;
+    stats[2] = differ;
+    return iters;
+}
+
+/* Systematic encoding over the padded layout: z[i] is the parity of row i's
+ * entries in the first k columns, the source bits x; the parity columns and
+ * the sentinel read 0. Then z becomes its own prefix XOR. */
+void encode_run(int32_t m, int32_t k, int32_t d, const intptr_t *cols, const uint8_t *x,
+                uint8_t *z)
+{
+    for (int32_t i = 0; i < m; i++)
+        z[i] = 0;
+    for (int32_t t = 0; t < d; t++) {
+        const intptr_t *col = cols + (int64_t)t * m;
+        for (int32_t i = 0; i < m; i++)
+            z[i] ^= col[i] < k ? x[col[i]] : 0;
+    }
+    for (int32_t i = 1; i < m; i++)
+        z[i] ^= z[i - 1];
 }
 
 /* Progressive edge growth over k columns and m checks. Column v gets the

@@ -5,11 +5,17 @@ On first use the C file is compiled with the system compiler (cc -O3
 under a name keyed by the hash of the source and the command, and loaded
 with ctypes.CDLL, which releases the interpreter lock for the length of
 every call. The flags name no instruction set: on x86-64 with glibc the
-source asks the compiler for an AVX2 and a baseline build of bp_run and the
-loader picks one for the CPU at load time (GCC/clang target_clones); both
-compute in integers and give the same bits. When the library cannot be
-built or loaded, one warning is emitted and bp_decode and build_code run
-their numpy code instead.
+source asks the compiler for an AVX2 and a baseline build of the BP loop and
+the loader picks one for the CPU at load time (GCC/clang target_clones);
+both compute in integers and give the same bits. When the library cannot be
+built or loaded, one warning is emitted and bp_decode, the joint decoder's
+passes, encode and build_code run their numpy code instead.
+
+Each wrapper takes the arguments and returns the results of its numpy
+counterpart: bp_run those of bp._bp_numpy, SideInfoPass those of
+bp._pass_numpy, encode those of encoding._encode_numpy and peg_place those
+of codes._place_edges. SideInfoPass takes its buffers' addresses once per
+frame, so that each pass of a joint decode is one short ctypes call.
 """
 
 from __future__ import annotations
@@ -36,10 +42,15 @@ _lock = threading.Lock()
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int32
-_SIGNATURES = {
-    "bp_run": [_I, _I, _I, _P, _P, _I, _I, _P, _I, _I, _P, _P, _P, _P, _P, _P],
-    "peg_place": [_I, _I, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P],
+_SIGNATURES = {  # name: (return type, argument types)
+    "bp_run": (_I, [_I, _I, _I, _P, _P, _I, _I, _P, _I, _I, _P, _P, _P, _P, _P, _P]),
+    "side_info_pass": (
+        _I, [_I, _I, _I, _I, _P, _P, _P, _I, _I, _P, _I, _P, _P, _P, _P, _P, _I, _I, _I]
+    ),
+    "encode_run": (None, [_I, _I, _I, _P, _P, _P]),
+    "peg_place": (_I, [_I, _I, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P]),
 }
+_INT32_MAX = 2**31 - 1
 
 
 def library_path() -> Path:
@@ -60,7 +71,7 @@ def lib():
 
 
 def backend() -> str:
-    """Which code runs BP and PEG placement in this process: "c" or "numpy"."""
+    """Which code runs BP, encoding and PEG placement in this process: "c" or "numpy"."""
     return "numpy" if lib() is None else "c"
 
 
@@ -75,10 +86,10 @@ def _load():
     except OSError as exc:
         reason = str(exc)
     else:
-        for name, argtypes in _SIGNATURES.items():
+        for name, (restype, argtypes) in _SIGNATURES.items():
             fn = getattr(dll, name)
             fn.argtypes = argtypes
-            fn.restype = _I
+            fn.restype = restype
         return dll
     warnings.warn(
         f"swldpc: C kernels unavailable, running the numpy code ({reason})",
@@ -134,10 +145,51 @@ def bp_run(dll, layout, llr, s_max, pad, table, max_iters, c2v):
     iters = dll.bp_run(
         m, n, d, _ptr(layout.cols), _ptr(llr), s_max, pad,
         None if table is None else _ptr(table), 0 if table is None else table.size - 1,
-        max(0, min(max_iters, 2**31 - 1)), None if c2v is None else _ptr(c2v),
+        min(max_iters, _INT32_MAX), None if c2v is None else _ptr(c2v),
         _ptr(work), _ptr(bits), _ptr(posterior), _ptr(c2v_out), ctypes.byref(ok),
     )
     return iters, bool(ok.value), bits, posterior, c2v_out
+
+
+class SideInfoPass:
+    """The compiled side_info_pass bound to one frame's buffers.
+
+    The arguments up to posterior are those of bp._pass_numpy: the layout,
+    k, the checked uint8 arrays y and z, s_max, pad, the table or None, the
+    padded int32 messages c2v, and the output arrays bits (uint8) and
+    posterior (int32), all C-contiguous and writable. The object keeps them
+    alive, owns the scratch the kernel needs and takes their addresses once,
+    so that a call passes only the pass's own values. Calling it with
+    (level1, level0, max_iters) runs one pass and returns (iterations,
+    syndrome_ok, parity_ok, disagreements).
+    """
+
+    def __init__(self, dll, layout, k, y, z, s_max, pad, table, c2v, bits, posterior):
+        d, m = layout.cols.shape
+        n = bits.size
+        self._keep = (layout, y, z, table, c2v, bits, posterior)
+        self._work = np.empty(n + 1 + (d * m + m + n + 1) // 2, dtype=np.int64)
+        self._stats = np.empty(3, dtype=np.int32)
+        self._fn = dll.side_info_pass
+        self._args = (
+            m, n, k, d, _ptr(layout.cols), _ptr(y), _ptr(z), s_max, pad,
+            None if table is None else _ptr(table), 0 if table is None else table.size - 1,
+            _ptr(c2v), _ptr(self._work), _ptr(bits), _ptr(posterior), _ptr(self._stats),
+        )
+
+    def __call__(self, level1, level0, max_iters):
+        iters = self._fn(*self._args, level1, level0, min(max_iters, _INT32_MAX))
+        ok, same, differ = self._stats.tolist()
+        return iters, bool(ok), bool(same), differ
+
+
+def encode(dll, layout, k, x):
+    """The parity block of the checked uint8 source block x, as
+    encoding._encode_numpy computes it."""
+    d, m = layout.cols.shape
+    z = np.empty(m, dtype=np.uint8)
+    dll.encode_run(m, k, d, _ptr(layout.cols), _ptr(x), _ptr(z))
+    return z
 
 
 def peg_place(dll, degrees: np.ndarray, m: int, max_levels: int) -> np.ndarray | None:

@@ -6,12 +6,20 @@ Internally the decoder negates everything so that the textbook check-node
 rule applies without degree-dependent sign flips. The check-node kernel is
 selectable: an exact pairwise reduction with a small integer correction
 table (default), or pure min-sum.
+
+bp_decode runs BP from a given LLR vector. side_info_pass runs one pass of
+the joint decoder on a SideInfoFrame, which holds a frame's side information
+and parity and the messages its passes share; it builds the channel values
+itself. Both go through one BP loop per backend: bp_loop in _kernels.c,
+_bp_loop here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,10 +64,7 @@ class LlrqVector:
         self.values = np.asarray(self.values, dtype=np.int32)
         if self.values.ndim != 1:
             raise ValueError("LLR vector must be one-dimensional")
-        if not 0 < self.s_max <= S_MAX_LIMIT or self.q < 0:
-            raise ValueError(
-                f"need 0 < s_max <= {S_MAX_LIMIT} and q >= 0, got {self.s_max}, {self.q}"
-            )
+        _check_scale(self.q, self.s_max)
         if _magnitude(self.values) > self.s_max:
             raise ValueError(f"LLR magnitudes must not exceed s_max={self.s_max}")
 
@@ -80,6 +85,11 @@ class DecodeOutcome:
     iterations_used: int
     syndrome_ok: bool
     c2v: np.ndarray | None = None
+
+
+def _check_scale(q: int, s_max: int) -> None:
+    if not 0 < s_max <= S_MAX_LIMIT or q < 0:
+        raise ValueError(f"need 0 < s_max <= {S_MAX_LIMIT} and q >= 0, got {s_max}, {q}")
 
 
 def _magnitude(values: np.ndarray) -> int:
@@ -172,6 +182,27 @@ def _box_minsum(a, b):
     return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
 
 
+def _pad_and_table(lay, q: int, s_max: int, kernel: str):
+    """The pad value and the correction table (None for min-sum) of BP runs
+    on layout lay at scale q and clip s_max."""
+    if kernel not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    table = _table_for(q)
+    # Pads hold a box-plus identity P: box(x, P) == x for every x a scan can
+    # hold. Reductions of real messages stay within X = max(s_max, table[0]);
+    # P >= X + tmax + 1 keeps |x +- P| > tmax, where no correction applies,
+    # also after a row's pads are reduced with each other, which lowers P by
+    # at most table[0] per step.
+    tmax = table.size - 1
+    pad = max(s_max, int(table[0])) + tmax + 1 + lay.cols.shape[0] * int(table[0])
+    return pad, table if kernel == "table" else None
+
+
+def _check_iters(max_iters: int, name: str) -> None:
+    if max_iters < 0:
+        raise ValueError(f"{name} must be >= 0, got {max_iters}")
+
+
 def bp_decode(
     h: SparseParityMatrix,
     init: LlrqVector,
@@ -185,7 +216,7 @@ def bp_decode(
     decisions are bit = 1 iff the posterior is positive (ties resolve to 0).
     The run stops as soon as the hard decisions satisfy every check, so a
     clean starting point reports zero iterations. All messages stay within
-    [-s_max, s_max].
+    [-s_max, s_max]. max_local_iters caps the rounds and must be >= 0.
 
     c2v, the messages of an earlier run on the same code (DecodeOutcome.c2v),
     warm-starts the run: the bit nodes are first updated from those messages
@@ -196,11 +227,11 @@ def bp_decode(
     The loop runs in the compiled kernel when swldpc.backend() is "c" and in
     numpy otherwise; both give the same outcome bit for bit.
     """
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    _check_iters(max_local_iters, "max_local_iters")
+    lay = h.decode_plan()
+    pad, table = _pad_and_table(lay, init.q, init.s_max, kernel)
     if init.values.size != h.n_cols:
         raise ValueError(f"init has {init.values.size} values for n={h.n_cols}")
-    lay = h.decode_plan()
     s_max = init.s_max
     if c2v is not None:
         c2v = np.ascontiguousarray(c2v, dtype=np.int32)
@@ -208,17 +239,9 @@ def bp_decode(
             raise ValueError(f"c2v has shape {c2v.shape} for {lay.edges} edges")
         if _magnitude(c2v) > s_max:
             raise ValueError(f"c2v magnitudes must not exceed s_max={s_max}")
-    table = _table_for(init.q)
-    # Pads hold a box-plus identity P: box(x, P) == x for every x a scan can
-    # hold. Reductions of real messages stay within X = max(s_max, table[0]);
-    # P >= X + tmax + 1 keeps |x +- P| > tmax, where no correction applies,
-    # also after a row's pads are reduced with each other, which lowers P by
-    # at most table[0] per step.
-    tmax = table.size - 1
-    pad = max(s_max, int(table[0])) + tmax + 1 + lay.cols.shape[0] * int(table[0])
 
-    args = (lay, np.ascontiguousarray(init.values, dtype=np.int32), s_max, pad,
-            table if kernel == "table" else None, max_local_iters, c2v)
+    args = (lay, np.ascontiguousarray(init.values, dtype=np.int32), s_max, pad, table,
+            max_local_iters, c2v)
     dll = _native.lib()
     iterations, ok, bits, post, c2v = (
         _bp_numpy(*args) if dll is None else _native.bp_run(dll, *args)
@@ -232,8 +255,65 @@ def bp_decode(
     )
 
 
-def _bp_numpy(lay, llr, s_max, pad, table, max_iters, c2v):
-    """The numpy flooding loop, with _native.bp_run's arguments and results."""
+class PassOutcome(NamedTuple):
+    """One side_info_pass: its rounds, whether the hard decisions satisfy
+    every check, whether their parity bits equal z, and how many of their
+    systematic bits differ from y."""
+
+    iterations_used: int
+    syndrome_ok: bool
+    parity_ok: bool
+    disagreements: int
+
+
+class SideInfoFrame:
+    """One frame's side information y and parity block z, and the buffers
+    the BP passes that decode it share.
+
+    The passes continue from one set of check-to-variable messages, kept in
+    the code's padded EdgeLayout; the first pass starts cold. hard_bits and
+    posterior (stored sign) hold the last pass's n values and are overwritten
+    by the next pass. y and z must be checked 0/1 uint8 arrays of lengths k
+    and m. The compiled kernels are picked once, when the frame is made.
+    """
+
+    def __init__(self, h: SparseParityMatrix, y: np.ndarray, z: np.ndarray,
+                 kernel: str = "table", q: int = DEFAULT_Q, s_max: int = DEFAULT_S_MAX):
+        _check_scale(q, s_max)
+        lay = h.decode_plan()
+        pad, table = _pad_and_table(lay, q, s_max, kernel)
+        self.q, self.s_max = q, s_max
+        self.c2v = np.zeros(lay.cols.shape, dtype=np.int32)
+        self.hard_bits = np.empty(h.n_cols, dtype=np.uint8)
+        self.posterior = np.empty(h.n_cols, dtype=np.int32)
+        args = (lay, h.k, y, z, s_max, pad, table, self.c2v, self.hard_bits, self.posterior)
+        dll = _native.lib()
+        self.run = (
+            functools.partial(_pass_numpy, *args) if dll is None
+            else _native.SideInfoPass(dll, *args)
+        )
+
+
+def side_info_pass(frame: SideInfoFrame, alpha: float, max_iters: int) -> PassOutcome:
+    """One BP pass of frame at the correlation log-odds alpha.
+
+    The systematic channel values are those of init_from_side_info: the
+    quantized LLR (2*y - 1) * |alpha|; the parity bits saturate to
+    (2*z - 1) * s_max. The pass runs at most max_iters rounds (>= 0, not
+    checked here), continuing from the frame's messages, and leaves its hard
+    decisions and posterior in the frame.
+    """
+    a = abs(alpha)
+    return PassOutcome(*frame.run(
+        quantize_llr(a, frame.q, frame.s_max), quantize_llr(-a, frame.q, frame.s_max), max_iters
+    ))
+
+
+def _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v):
+    """The numpy flooding loop. c2v holds the starting messages in the padded
+    layout, whose pad entries are never read, and receives the last round's.
+    Returns (iterations, syndrome_ok, column totals); the totals are in the
+    internal sign, with entry n for the sentinel."""
     if table is None:
         box = _box_minsum
     else:
@@ -248,7 +328,7 @@ def _bp_numpy(lay, llr, s_max, pad, table, max_iters, c2v):
     lam0 = np.append(-llr.astype(np.int64), 0)
     pads = ~lay.valid
 
-    def variable_pass(c2v):
+    def variable_pass():
         # float64 column sums are exact: each is at most d_v * s_max << 2**53
         col_sum = np.bincount(lay.cols.ravel(), weights=c2v.ravel(), minlength=lam0.size)
         tot = lam0 + col_sum.astype(np.int64)
@@ -257,16 +337,9 @@ def _bp_numpy(lay, llr, s_max, pad, table, max_iters, c2v):
         v2c[pads] = pad
         return tot, v2c
 
-    # messages are padded (d_max, m) arrays inside, row-major edge lists outside
-    padded = np.zeros(lay.cols.T.shape, dtype=np.int32)
-    if c2v is not None:
-        padded[lay.valid.T] = c2v
-    c2v = np.ascontiguousarray(padded.T)
-    tot, v2c = variable_pass(c2v)
-    bits = (tot < 0).astype(np.uint8)
-
+    tot, v2c = variable_pass()
     iterations = 0
-    ok = not lay.row_parity(bits).any()
+    ok = not lay.row_parity((tot < 0).astype(np.uint8)).any()
     if not ok:
         for iterations in range(1, max_iters + 1):
             # exclusive scans: left[t] reduces a row's messages before t, right[t] after t
@@ -276,12 +349,38 @@ def _bp_numpy(lay, llr, s_max, pad, table, max_iters, c2v):
             right = np.full_like(v2c, pad)
             for t in range(d_max - 2, -1, -1):
                 right[t] = box(right[t + 1], v2c[t + 1])
-            c2v = np.clip(box(left, right), -s_max, s_max).astype(np.int32)
-            tot, v2c = variable_pass(c2v)
-            bits = (tot < 0).astype(np.uint8)
-            if not lay.row_parity(bits).any():
+            c2v[...] = np.clip(box(left, right), -s_max, s_max)
+            tot, v2c = variable_pass()
+            if not lay.row_parity((tot < 0).astype(np.uint8)).any():
                 ok = True
                 break
+    return iterations, bool(ok), tot
 
-    posterior = np.clip(-tot[:-1], -s_max, s_max).astype(np.int32)
-    return iterations, bool(ok), bits[:-1], posterior, c2v.T[lay.valid.T]
+
+def _outputs(tot, s_max, bits, posterior):
+    """Hard decisions and clipped posterior (stored sign) from the totals."""
+    bits[:] = tot[:-1] < 0
+    posterior[:] = np.clip(-tot[:-1], -s_max, s_max)
+
+
+def _bp_numpy(lay, llr, s_max, pad, table, max_iters, c2v):
+    """bp_decode's loop in numpy, with _native.bp_run's arguments and results."""
+    padded = np.zeros(lay.cols.shape, dtype=np.int32)
+    if c2v is not None:
+        padded.T[lay.valid.T] = c2v  # row-major edges outside
+    iterations, ok, tot = _bp_loop(lay, llr, s_max, pad, table, max_iters, padded)
+    bits = np.empty(llr.size, dtype=np.uint8)
+    posterior = np.empty(llr.size, dtype=np.int32)
+    _outputs(tot, s_max, bits, posterior)
+    return iterations, ok, bits, posterior, padded.T[lay.valid.T]
+
+
+def _pass_numpy(lay, k, y, z, s_max, pad, table, c2v, bits, posterior, level1, level0, max_iters):
+    """side_info_pass in numpy, with _native.SideInfoPass's arguments and results."""
+    llr = np.empty(bits.size, dtype=np.int32)
+    llr[:k] = np.where(y, level1, level0)
+    llr[k:] = np.where(z, s_max, -s_max)
+    iterations, ok, tot = _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v)
+    _outputs(tot, s_max, bits, posterior)
+    return (iterations, ok, bool(np.array_equal(bits[k:], z)),
+            int(np.count_nonzero(bits[:k] != y)))

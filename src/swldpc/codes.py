@@ -12,11 +12,12 @@ Encoding, the hard syndrome and belief propagation all walk one cached
 EdgeLayout per code: H's column indices as a padded (d_max, m) matrix whose
 pads point at a sentinel column n, read by the numpy code and the compiled
 kernels alike. Its row_parity method is the one row-parity routine of the
-package.
+numpy code; the compiled encode and BP loops compute the same parities.
 
 Codes are stored as alist text (MacKay's format) with one leading comment
-line. load_alist parses and checks each block of the file in whole-array
-passes and reports the first bad line, as a line-by-line reader would.
+line. save_alist builds the text, and load_alist parses and checks each
+block of the file, in whole-array passes; load_alist reports the first bad
+line, as a line-by-line reader would.
 """
 
 from __future__ import annotations
@@ -493,32 +494,45 @@ def save_alist(mat: SparseParityMatrix, sink) -> None:
     alist body cannot express. Column and row index lists are 1-based and
     zero-padded to the maximum degree, as usual for the format.
     """
-    col_lists = [[] for _ in range(mat.n_cols)]
-    for i, r in enumerate(mat.rows):
-        for c in r.tolist():
-            col_lists[c].append(i + 1)
-    row_lists = [(r + 1).tolist() for r in mat.rows]
-    max_col = max(len(c) for c in col_lists)
-    max_row = max(len(r) for r in row_lists)
+    flat = np.concatenate(mat.rows)
+    row_deg = mat.row_weights()
+    col_deg = np.bincount(flat, minlength=mat.n_cols)
+    # each column's rows in increasing order: a stable sort of the row-major
+    # column list keeps the row order within a column
+    col_rows = np.repeat(np.arange(1, mat.n_rows + 1), row_deg)[np.argsort(flat, kind="stable")]
+    max_col, max_row = int(col_deg.max()), int(row_deg.max())
 
     dp = "none" if mat.design_p is None else repr(float(mat.design_p))
     lines = [
         f"{_COMMENT_PREFIX} k={mat.k} design_p={dp}",
         f"{mat.n_cols} {mat.n_rows}",
         f"{max_col} {max_row}",
-        " ".join(str(len(c)) for c in col_lists),
-        " ".join(str(len(r)) for r in row_lists),
+        _int_lines(col_deg[None]),
+        _int_lines(row_deg[None]),
+        _int_lines(_zero_padded(col_rows, col_deg, max_col)),
+        _int_lines(_zero_padded(flat + 1, row_deg, max_row)),
     ]
-    for c in col_lists:
-        lines.append(" ".join(str(x) for x in c + [0] * (max_col - len(c))))
-    for r in row_lists:
-        lines.append(" ".join(str(x) for x in r + [0] * (max_row - len(r))))
     text = "\n".join(lines) + "\n"
 
     if hasattr(sink, "write"):
         sink.write(text)
     else:
         Path(sink).write_text(text)
+
+
+def _zero_padded(values: np.ndarray, deg: np.ndarray, width: int) -> np.ndarray:
+    """The lists of deg[i] values each, concatenated in values, as the rows
+    of a (deg.size, width) array padded with zeros."""
+    out = np.zeros((deg.size, width), dtype=np.int64)
+    out[np.arange(width) < deg[:, None]] = values
+    return out
+
+
+def _int_lines(rows: np.ndarray) -> str:
+    """One line of blank-separated integers per row of a 2-D array, joined by
+    newlines; one format string formats them all."""
+    line = " ".join(["%d"] * rows.shape[1])
+    return "\n".join([line] * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
 def _ints(line: str, lineno: int) -> list:

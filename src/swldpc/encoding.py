@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _native
 from .codes import CodeSpec, SparseParityMatrix
 
 __all__ = ["encode", "compression_rate"]
@@ -29,12 +30,20 @@ def encode(h: SparseParityMatrix, x) -> np.ndarray:
     """Compress source block x to its parity block z of length n - k.
 
     z[0] is the parity of row 0's systematic entries; each later z[i] adds
-    row i's systematic parity onto z[i-1] (all mod 2).
+    row i's systematic parity onto z[i-1] (all mod 2). The loop runs in the
+    compiled kernel when swldpc.backend() is "c" and in numpy otherwise.
     """
-    x_ext = np.zeros(h.n_cols + 1, dtype=np.uint8)  # parity columns read 0
-    x_ext[: h.k] = as_bit_array(x, h.k, "source block")
-    z = np.cumsum(h.encode_plan().row_parity(x_ext)) & 1
-    return z.astype(np.uint8)
+    x = as_bit_array(x, h.k, "source block")
+    lay = h.encode_plan()
+    dll = _native.lib()
+    return _encode_numpy(lay, h.k, x) if dll is None else _native.encode(dll, lay, h.k, x)
+
+
+def _encode_numpy(lay, k: int, x: np.ndarray) -> np.ndarray:
+    """encode in numpy, with _native.encode's arguments and result."""
+    x_ext = np.zeros(k + lay.cols.shape[1] + 1, dtype=np.uint8)  # parity columns read 0
+    x_ext[:k] = x
+    return (np.cumsum(lay.row_parity(x_ext)) & 1).astype(np.uint8)
 
 
 def compression_rate(spec: CodeSpec) -> float:

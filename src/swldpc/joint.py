@@ -13,6 +13,13 @@ that decodes the parity exactly, the estimate is the exact disagreement count
 of its hard decisions; after a failed pass, whose hard decisions are biased
 towards the side information, it is the posterior expectation of that count.
 A pass that decoded exactly is kept: a later pass that fails never replaces it.
+
+Each pass is one bp.side_info_pass over a bp.SideInfoFrame made once per
+decode: under the compiled backend a single call, free of the interpreter
+lock, builds the channel values, runs BP, checks the parity bits against z
+and counts the disagreements with y. The frame keeps the messages between
+passes in the code's padded layout. Python computes the quantized channel
+levels and the estimates, and reads the posterior only after a failed pass.
 """
 
 from __future__ import annotations
@@ -22,7 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bp import DEFAULT_Q, DEFAULT_S_MAX, LlrqVector, _side_info_llr, bp_decode
+from .bp import (
+    DEFAULT_Q,
+    DEFAULT_S_MAX,
+    LlrqVector,
+    SideInfoFrame,
+    _check_iters,
+    side_info_pass,
+)
 from .codes import SparseParityMatrix
 from .encoding import as_bit_array
 
@@ -89,7 +103,7 @@ def estimate_alpha(x_hat, y) -> CorrelationState:
     y = as_bit_array(y, x_hat.size, "side information")
     x_hat = as_bit_array(x_hat, y.size, "reconstruction")
     _check_two_bits(y.size)
-    return _hard_estimate(x_hat, y)
+    return _log_odds(int(np.count_nonzero(x_hat ^ y)), y.size)
 
 
 def estimate_alpha_posterior(posterior: LlrqVector, y) -> CorrelationState:
@@ -103,7 +117,7 @@ def estimate_alpha_posterior(posterior: LlrqVector, y) -> CorrelationState:
     _check_two_bits(y.size)
     if posterior.values.size < y.size:
         raise ValueError(f"posterior has {posterior.values.size} values for k={y.size}")
-    return _posterior_estimate(posterior, y)
+    return _posterior_estimate(posterior.values, posterior.q, y)
 
 
 def _check_two_bits(k: int) -> None:
@@ -116,16 +130,11 @@ def _log_odds(w, k: int) -> CorrelationState:
     return CorrelationState(alpha=math.log(w) - math.log(k - w), p_hat=w / k)
 
 
-def _hard_estimate(x_hat: np.ndarray, y: np.ndarray) -> CorrelationState:
-    """estimate_alpha on checked 0/1 arrays of one length k >= 2."""
-    return _log_odds(int(np.count_nonzero(x_hat ^ y)), y.size)
-
-
-def _posterior_estimate(posterior: LlrqVector, y: np.ndarray) -> CorrelationState:
-    """estimate_alpha_posterior on a checked 0/1 array y of length k >= 2,
-    at most the posterior's length."""
+def _posterior_estimate(values: np.ndarray, q: int, y: np.ndarray) -> CorrelationState:
+    """estimate_alpha_posterior on posterior LLRs values at scale q and a
+    checked 0/1 array y of length k >= 2, at most len(values)."""
     k = y.size
-    llr = posterior.values[:k] / float(2**posterior.q)
+    llr = values[:k] / float(2**q)
     # P(x_i != y_i) = 1 / (1 + exp(+-llr)), written with tanh to stay finite
     return _log_odds(float(np.sum(0.5 - 0.5 * np.tanh(0.5 * (2.0 * y - 1.0) * llr))), k)
 
@@ -158,29 +167,31 @@ def joint_decode(
     that decoded, even if a later pass failed, and success is True exactly
     when some pass decoded; otherwise the result is the last pass. final_state
     holds the estimate of the returned pass and the trace of every pass.
+    max_global must be >= 1 and max_local >= 0.
     """
     z = as_bit_array(z, h.m, "parity block")
     y = as_bit_array(y, h.k, "side information")
     _check_two_bits(h.k)
+    if max_global < 1:
+        raise ValueError(f"max_global must be >= 1, got {max_global}")
+    _check_iters(max_local, "max_local")
     alpha = initial_alpha(design_p)
+    frame = SideInfoFrame(h, y, z, kernel, q, s_max)
 
     trace: list[GlobalIterationRecord] = []
     local_total = 0
-    outcome = None
-    kept = None  # (outcome, estimate) of the last pass that decoded
+    kept = None  # (x_hat, estimate) of the last pass that decoded
     for i in range(1, max_global + 1):
-        init = _side_info_llr(y, z, alpha, q, s_max)
-        c2v = None if outcome is None else outcome.c2v
-        outcome = bp_decode(h, init, max_local_iters=max_local, kernel=kernel, c2v=c2v)
-        local_total += outcome.iterations_used
-        if outcome.syndrome_ok and np.array_equal(outcome.hard_bits[h.k :], z):
-            est = _hard_estimate(outcome.hard_bits[: h.k], y)
-            kept = (outcome, est)
+        out = side_info_pass(frame, alpha, max_local)
+        local_total += out.iterations_used
+        if out.syndrome_ok and out.parity_ok:
+            est = _log_odds(out.disagreements, h.k)
+            kept = (frame.hard_bits[: h.k].copy(), est)  # a later pass overwrites the frame
         else:
-            est = _posterior_estimate(outcome.posterior, y)
+            est = _posterior_estimate(frame.posterior, q, y)
         trace.append(
             GlobalIterationRecord(
-                index=i, alpha=est.alpha, p_hat=est.p_hat, syndrome_ok=outcome.syndrome_ok
+                index=i, alpha=est.alpha, p_hat=est.p_hat, syndrome_ok=out.syndrome_ok
             )
         )
         moved = abs(est.alpha - alpha)
@@ -188,10 +199,9 @@ def joint_decode(
         if moved < ALPHA_TOLERANCE:
             break
 
-    if kept is not None:
-        outcome, est = kept
+    x_hat, est = kept if kept is not None else (frame.hard_bits[: h.k].copy(), est)
     return JointDecodeResult(
-        x_hat=outcome.hard_bits[: h.k].copy(),
+        x_hat=x_hat,
         success=kept is not None,
         global_iters_used=len(trace),
         local_iters_total=local_total,
@@ -214,21 +224,22 @@ def non_iterative_decode(
     The decode is the first pass of joint_decode. The reported estimate is
     the disagreement count of the hard decisions even when the decode fails:
     the baseline does no tracking, so none of it depends on how the joint
-    loop re-estimates.
+    loop re-estimates. max_local must be >= 0.
     """
     z = as_bit_array(z, h.m, "parity block")
     y = as_bit_array(y, h.k, "side information")
     _check_two_bits(h.k)
-    init = _side_info_llr(y, z, initial_alpha(design_p), q, s_max)
-    outcome = bp_decode(h, init, max_local_iters=max_local, kernel=kernel)
-    est = _hard_estimate(outcome.hard_bits[: h.k], y)
+    _check_iters(max_local, "max_local")
+    frame = SideInfoFrame(h, y, z, kernel, q, s_max)
+    out = side_info_pass(frame, initial_alpha(design_p), max_local)
+    est = _log_odds(out.disagreements, h.k)
     record = GlobalIterationRecord(
-        index=1, alpha=est.alpha, p_hat=est.p_hat, syndrome_ok=outcome.syndrome_ok
+        index=1, alpha=est.alpha, p_hat=est.p_hat, syndrome_ok=out.syndrome_ok
     )
     return JointDecodeResult(
-        x_hat=outcome.hard_bits[: h.k].copy(),
-        success=bool(outcome.syndrome_ok and np.array_equal(outcome.hard_bits[h.k :], z)),
+        x_hat=frame.hard_bits[: h.k].copy(),
+        success=out.syndrome_ok and out.parity_ok,
         global_iters_used=1,
-        local_iters_total=outcome.iterations_used,
+        local_iters_total=out.iterations_used,
         final_state=CorrelationState(alpha=est.alpha, p_hat=est.p_hat, trace=[record]),
     )

@@ -68,6 +68,27 @@ def desk_code():
     return sw.build_code(sw.get_code_spec("D1"), seed=0)
 
 
+@pytest.fixture(scope="session")
+def d2_code():
+    """The registry's k=4096, rate-1/4 code."""
+    return sw.build_code(sw.get_code_spec("D2"), seed=0)
+
+
+@pytest.fixture(scope="session")
+def ragged_code():
+    """k=240 code whose 60 rows hold 1 to 30 ones: its padded layout is
+    mostly pads, and row 0 is a single parity bit."""
+    rng = np.random.default_rng(77)
+    k, m = 240, 60
+    weights = [1] + rng.permutation(np.resize(np.arange(2, 31), m - 1)).tolist()
+    rows = []
+    for i, w in enumerate(weights):
+        par = [k] if i == 0 else [k + i - 1, k + i]
+        chosen = rng.choice(k, size=w - len(par), replace=False)
+        rows.append(sorted(chosen.tolist()) + par)
+    return sw.SparseParityMatrix(n_rows=m, n_cols=k + m, k=k, rows=rows, design_p=0.02)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

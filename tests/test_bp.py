@@ -8,7 +8,7 @@ import pytest
 
 import swldpc as sw
 from swldpc import _native
-from swldpc.bp import _box_table, _table_for
+from swldpc.bp import SideInfoFrame, _box_table, _table_for, side_info_pass
 from oracles import bp_ref, boxplus_ref, correction_table_ref, gf2_syndrome, quantize_ref
 
 
@@ -318,9 +318,9 @@ class TestBackendsAgree:
 
     PAIRS = [(3, 10000), (3, 20), (2, 5), (5, 100), (0, 30), (3, sw.S_MAX_LIMIT)]
 
-    def test_random_codes(self, c_backend, monkeypatch):
-        # Row-irregular codes from 4 to 119 rows and one with a single-edge
-        # check; cold runs and runs warm-started from their messages.
+    @staticmethod
+    def _codes():
+        """Row-irregular codes from 4 to 119 rows and one with a single-edge check."""
         rng = np.random.default_rng(4004)
         codes = [_one_edge_row_code()]
         for i in range(24):
@@ -329,7 +329,11 @@ class TestBackendsAgree:
             dv = round(float(rng.uniform(1.0, min(3.5, m - 0.5))), 2)
             spec = sw.CodeSpec(id=f"r{i}", k=k, n=k + m, dv_target=dv, design_p=0.1)
             codes.append(sw.build_code(spec, seed=i))
-        for c, h in enumerate(codes):
+        return codes
+
+    def test_random_codes(self, c_backend, monkeypatch):
+        # Cold runs and runs warm-started from their messages.
+        for c, h in enumerate(self._codes()):
             for f in range(3):
                 q, s_max = self.PAIRS[(c + f) % len(self.PAIRS)]
                 p = 0.03 + 0.04 * f
@@ -347,6 +351,47 @@ class TestBackendsAgree:
                             runs.append((cold, warm))
                         for got, want in zip(*runs):
                             _assert_same_outcome(got, want)
+
+    def test_side_info_passes(self, c_backend, monkeypatch):
+        # Three passes per frame that share their messages, as joint_decode
+        # runs them, with the caps and estimates changing between passes.
+        for c, h in enumerate(self._codes()):
+            lay = h.decode_plan()
+            for f in range(3):
+                q, s_max = self.PAIRS[(c + f) % len(self.PAIRS)]
+                p = 0.03 + 0.04 * f
+                _, y, z = _noisy_frame(h, p, [c, f, 1])
+                for kernel in ("table", "minsum"):
+                    runs = []
+                    for lib in (c_backend, None):  # None: the numpy code
+                        with monkeypatch.context() as mp:
+                            mp.setattr(_native, "_lib", lib)
+                            frame = SideInfoFrame(h, y, z, kernel, q, s_max)
+                        passes = []
+                        for alpha, iters in ((-2.9, 2), (math.log(p / (1 - p)), 7), (-0.4, 0)):
+                            out = side_info_pass(frame, alpha, iters)
+                            passes.append((out, frame.hard_bits.copy(), frame.posterior.copy(),
+                                           frame.c2v[lay.valid].copy()))
+                        runs.append(passes)
+                    for got, want in zip(*runs):
+                        assert got[0] == want[0]
+                        for a, b in zip(got[1:], want[1:]):
+                            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_encode(self, c_backend, monkeypatch, toy_code, ragged_code):
+        rng = np.random.default_rng(4005)
+        for h in [toy_code, *self._codes(), ragged_code]:
+            xs = [np.zeros(h.k, np.uint8), np.ones(h.k, np.uint8)]
+            xs += [rng.integers(0, 2, h.k).astype(np.uint8) for _ in range(8)]
+            for x in xs:
+                runs = []
+                for lib in (c_backend, None):  # None: the numpy code
+                    with monkeypatch.context() as mp:
+                        mp.setattr(_native, "_lib", lib)
+                        runs.append(sw.encode(h, x))
+                got, want = runs
+                assert got.dtype == want.dtype == np.uint8 and np.array_equal(got, want)
+                assert not sw.hard_syndrome(h, np.concatenate([x, got])).any()
 
 
 class TestHardSyndrome:

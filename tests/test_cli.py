@@ -107,6 +107,25 @@ class TestEncodeDecode:
                    "--side-info", str(yp), "--out", "xhat.bin"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flags,name",
+        [(["--max-global", "0"], "max_global"), (["--max-global", "-2"], "max_global"),
+         (["--max-local", "-3"], "max_local"),
+         (["--no-global-iter", "--max-local", "-1"], "max_local")],
+    )
+    def test_bad_iteration_cap_exits_2(self, workdir, capsys, flags, name):
+        code = _design(workdir)
+        xp, yp, _ = _simulate(workdir)
+        assert main(["encode", "--code", str(code), "--in", str(xp),
+                     "--out", "par.swz"]) == 0
+        capsys.readouterr()
+        rc = main(["decode", "--code", str(code), "--parity", "par.swz",
+                   "--side-info", str(yp), "--out", "xhat.bin", *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {name} must be >= ") and err.count("\n") == 1
+        assert not (workdir / "xhat.bin").exists()
+
     def test_parity_header_binds_to_code(self, workdir):
         # A parity stream encoded with one code must be rejected by another.
         code_a = _design(workdir, "a.alist", seed="3")

@@ -96,12 +96,12 @@ class TestEncode:
             with pytest.raises(ValueError, match="only 0s and 1s"):
                 as_bit_array(bits, 3, "bits")
 
-    def test_throughput_scales_with_edges(self, desk_code):
+    def test_throughput_scales_with_edges(self, desk_code, d2_code):
         # Soft linearity guard: a k=4096 code has ~4x the edges of the
         # k=1024 one, so per-edge cost should stay within a small factor.
         import time
 
-        big = sw.build_code(sw.get_code_spec("D2"), seed=0)
+        big = d2_code
 
         def per_edge_seconds(h, frames=50):
             x = np.random.default_rng(0).integers(0, 2, (frames, h.k)).astype(np.uint8)

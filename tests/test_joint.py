@@ -200,19 +200,18 @@ class TestJointDecode:
         # Every pass after the first is made to fail; the decode of the first
         # pass, which satisfied every check and reproduced z, is returned.
         x, y, z = _frame(desk_code, 0.02, seed=5)
-        real = sw.bp_decode
+        real = sw.bp.side_info_pass
         calls = []
 
-        def failing_after_first(*args, **kwargs):
-            out = real(*args, **kwargs)
+        def failing_after_first(frame, *args, **kwargs):
+            out = real(frame, *args, **kwargs)
             calls.append(out)
             if len(calls) == 1:
                 return out
-            bits = out.hard_bits.copy()
-            bits[:8] ^= 1
-            return dataclasses.replace(out, hard_bits=bits, syndrome_ok=False)
+            frame.hard_bits[:8] ^= 1  # the buffer the first pass's decode came from
+            return out._replace(syndrome_ok=False)
 
-        monkeypatch.setattr("swldpc.joint.bp_decode", failing_after_first)
+        monkeypatch.setattr("swldpc.joint.side_info_pass", failing_after_first)
         res = sw.joint_decode(desk_code, z, y, design_p=0.05)
         trace = res.final_state.trace
         assert trace[0].syndrome_ok
@@ -239,6 +238,26 @@ class TestValidation:
             sw.joint_decode(desk_code, z, y, design_p=0.05)
         with pytest.raises(ValueError, match="only 0s and 1s"):
             sw.non_iterative_decode(desk_code, z, y, design_p=0.05)
+
+    @pytest.mark.parametrize("max_global", [0, -1])
+    def test_joint_decode_rejects_global_cap_below_one(self, desk_code, max_global):
+        x, y, z = _frame(desk_code, 0.02, seed=3)
+        with pytest.raises(ValueError, match="max_global must be >= 1"):
+            sw.joint_decode(desk_code, z, y, design_p=0.05, max_global=max_global)
+
+    def test_decoders_reject_negative_local_cap(self, desk_code):
+        x, y, z = _frame(desk_code, 0.02, seed=3)
+        init = sw.init_from_side_info(y, z, sw.initial_alpha(0.05))
+        calls = [
+            lambda: sw.joint_decode(desk_code, z, y, design_p=0.05, max_local=-1),
+            lambda: sw.non_iterative_decode(desk_code, z, y, design_p=0.05, max_local=-3),
+            lambda: sw.bp_decode(desk_code, init, max_local_iters=-1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be >= 0"):
+                call()
+        # a cap of 0 runs the bit-node update alone
+        assert sw.joint_decode(desk_code, z, y, design_p=0.05, max_local=0).local_iters_total == 0
 
     @pytest.mark.parametrize("bad", NOT_BITS)
     def test_public_helpers_reject_non_bits(self, desk_code, bad):
@@ -279,20 +298,6 @@ def _joint_fields(res):
             res.local_iters_total, res.final_state.alpha, res.final_state.p_hat, trace)
 
 
-def _ragged_code():
-    """k=240 code whose 60 rows hold 1 to 30 ones: its padded layout is
-    mostly pads, and row 0 is a single parity bit."""
-    rng = np.random.default_rng(77)
-    k, m = 240, 60
-    weights = [1] + rng.permutation(np.resize(np.arange(2, 31), m - 1)).tolist()
-    rows = []
-    for i, w in enumerate(weights):
-        par = [k] if i == 0 else [k + i - 1, k + i]
-        chosen = rng.choice(k, size=w - len(par), replace=False)
-        rows.append(sorted(chosen.tolist()) + par)
-    return sw.SparseParityMatrix(n_rows=m, n_cols=k + m, k=k, rows=rows, design_p=0.02)
-
-
 class TestBackendsAgree:
     """joint_decode under the compiled loop and under numpy, field by field."""
 
@@ -304,10 +309,10 @@ class TestBackendsAgree:
                 results.append(decode())
         return results
 
-    def test_d2_waterfall(self, c_backend, monkeypatch):
+    def test_d2_waterfall(self, c_backend, monkeypatch, d2_code):
         # p = 0.025 +- 0.005 on D2 (design 0.02): a share of the passes fail,
         # so the posterior estimate and the warm start between passes run.
-        h = sw.build_code(sw.get_code_spec("D2"), seed=0)
+        h = d2_code
         rng = np.random.default_rng(np.random.SeedSequence((2525, 40)))
         failed_passes = 0
         for f in range(40):
@@ -324,8 +329,8 @@ class TestBackendsAgree:
 
     @pytest.mark.parametrize("kernel,q,s_max", [("table", 3, 10000), ("minsum", 3, 10000),
                                                 ("table", 2, 20)])
-    def test_ragged_rows(self, c_backend, monkeypatch, kernel, q, s_max):
-        h = _ragged_code()
+    def test_ragged_rows(self, c_backend, monkeypatch, ragged_code, kernel, q, s_max):
+        h = ragged_code
         assert sorted(set(h.row_weights().tolist())) == list(range(1, 31))
         for f, p in enumerate(np.linspace(0.005, 0.06, 12)):
             x, y, z = _frame(h, p, seed=[f, 9])
@@ -334,6 +339,21 @@ class TestBackendsAgree:
                 lambda: sw.joint_decode(h, z, y, 0.02, kernel=kernel, q=q, s_max=s_max),
             )
             assert _joint_fields(got) == _joint_fields(want), (f, p)
+
+    @pytest.mark.parametrize("kernel,q,s_max", [("table", 3, 10000), ("minsum", 3, 10000),
+                                                ("table", 2, 20)])
+    def test_non_iterative(self, c_backend, monkeypatch, ragged_code, kernel, q, s_max):
+        h = ragged_code
+        outcomes = set()
+        for f, p in enumerate(np.linspace(0.005, 0.08, 16)):
+            x, y, z = _frame(h, p, seed=[f, 11])
+            got, want = self._both(
+                c_backend, monkeypatch,
+                lambda: sw.non_iterative_decode(h, z, y, 0.02, kernel=kernel, q=q, s_max=s_max),
+            )
+            assert _joint_fields(got) == _joint_fields(want), (f, p)
+            outcomes.add(got.success)
+        assert outcomes == {True, False}
 
 
 class TestNonIterativeDecode:

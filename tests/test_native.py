@@ -9,6 +9,7 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import swldpc as sw
 from swldpc import _native
@@ -125,3 +126,66 @@ def test_concurrent_decodes_match_serial(desk_code):
         assert got.iterations_used == want.iterations_used
         assert np.array_equal(got.posterior.values, want.posterior.values)
         assert np.array_equal(got.c2v, want.c2v)
+
+
+def test_concurrent_joint_decodes_match_serial(d2_code):
+    # More threads than cores, a short switch interval, and D2 frames in its
+    # waterfall, where passes fail and later passes continue from their
+    # messages: decodes share no buffers, so each must equal its serial one.
+    rng = np.random.default_rng(np.random.SeedSequence((2525, 6)))
+    frames = []
+    for _ in range(18):
+        p = 0.02 + 0.01 * rng.random()
+        x = rng.integers(0, 2, d2_code.k).astype(np.uint8)
+        y = (x ^ (rng.random(d2_code.k) < p)).astype(np.uint8)
+        frames.append((sw.encode(d2_code, x), y))
+
+    def decode(i):
+        z, y = frames[i]
+        res = sw.joint_decode(d2_code, z, y, d2_code.design_p)
+        trace = [(r.index, r.alpha, r.p_hat, r.syndrome_ok) for r in res.final_state.trace]
+        return (res.x_hat.tobytes(), res.success, res.global_iters_used,
+                res.local_iters_total, res.final_state.alpha, res.final_state.p_hat, trace)
+
+    serial = [decode(i) for i in range(len(frames))]
+    assert any(not ok for *_, trace in serial for *_, ok in trace)  # some passes failed
+    results = [None] * len(frames)
+
+    def work(j):
+        for i in range(j, len(frames), 6):
+            results[i] = decode(i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(300)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
+
+
+def test_kernels_compile_without_warnings(tmp_path):
+    # The kernels build with warnings as errors, so a change that draws a
+    # warning from the compiler shows here rather than in a user's build.
+    probe = tmp_path / "probe.c"
+    probe.write_text("int probe(void) { return 0; }\n")
+    try:
+        works = subprocess.run(
+            [_native._CC, "-shared", "-fPIC", "-o", str(tmp_path / "probe.so"), str(probe)],
+            capture_output=True, text=True, timeout=120,
+        )
+    except OSError as exc:
+        pytest.skip(f"no working C compiler ({_native._CC}: {exc})")
+    if works.returncode != 0:
+        pytest.skip(f"no working C compiler ({_native._CC}: {works.stderr.strip()})")
+    built = subprocess.run(
+        [_native._CC, "-O3", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+         "-o", str(tmp_path / "kernels.so"), str(_native._SOURCE)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert built.returncode == 0, built.stderr
