@@ -151,12 +151,6 @@ def init_from_side_info(
     z = as_bit_array(z, np.asarray(z).size, "parity block")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    return _side_info_llr(y, z, alpha, q, s_max)
-
-
-def _side_info_llr(y: np.ndarray, z: np.ndarray, alpha: float, q: int, s_max: int) -> LlrqVector:
-    """init_from_side_info on y and z already checked to be 0/1 arrays and a
-    finite alpha."""
     values = np.empty(y.size + z.size, dtype=np.int32)
     a = abs(alpha)
     values[: y.size] = np.where(y, quantize_llr(a, q, s_max), quantize_llr(-a, q, s_max))

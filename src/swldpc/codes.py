@@ -149,9 +149,7 @@ class EdgeLayout:
 
     def __init__(self, mat: "SparseParityMatrix"):
         deg = mat.row_weights()
-        real = np.arange(deg.max()) < deg[:, None]
-        cols = np.full(real.shape, mat.n_cols, dtype=np.intp)
-        cols[real] = np.concatenate(mat.rows)
+        cols = _padded(np.concatenate(mat.rows), deg, int(deg.max()), mat.n_cols, np.intp)
         self.cols = np.ascontiguousarray(cols.T)
         self.valid = self.cols < mat.n_cols
         self.edges = int(deg.sum())
@@ -291,6 +289,14 @@ class SparseParityMatrix:
         return self._layout
 
     encode_plan = decode_plan
+
+
+def _padded(values: np.ndarray, deg: np.ndarray, width: int, fill: int, dtype) -> np.ndarray:
+    """The lists of deg[i] values each, concatenated in values, as the rows
+    of a (deg.size, width) array of dtype whose other entries hold fill."""
+    out = np.full((deg.size, width), fill, dtype=dtype)
+    out[np.arange(width) < deg[:, None]] = values
+    return out
 
 
 def _staircase(i: int, k: int) -> list:
@@ -509,8 +515,8 @@ def save_alist(mat: SparseParityMatrix, sink) -> None:
         f"{max_col} {max_row}",
         _int_lines(col_deg[None]),
         _int_lines(row_deg[None]),
-        _int_lines(_zero_padded(col_rows, col_deg, max_col)),
-        _int_lines(_zero_padded(flat + 1, row_deg, max_row)),
+        _int_lines(_padded(col_rows, col_deg, max_col, 0, np.int64)),
+        _int_lines(_padded(flat + 1, row_deg, max_row, 0, np.int64)),
     ]
     text = "\n".join(lines) + "\n"
 
@@ -518,14 +524,6 @@ def save_alist(mat: SparseParityMatrix, sink) -> None:
         sink.write(text)
     else:
         Path(sink).write_text(text)
-
-
-def _zero_padded(values: np.ndarray, deg: np.ndarray, width: int) -> np.ndarray:
-    """The lists of deg[i] values each, concatenated in values, as the rows
-    of a (deg.size, width) array padded with zeros."""
-    out = np.zeros((deg.size, width), dtype=np.int64)
-    out[np.arange(width) < deg[:, None]] = values
-    return out
 
 
 def _int_lines(rows: np.ndarray) -> str:

@@ -355,12 +355,15 @@ class TestBackendsAgree:
     def test_side_info_passes(self, c_backend, monkeypatch):
         # Three passes per frame that share their messages, as joint_decode
         # runs them, with the caps and estimates changing between passes.
+        overruled = 0  # passes that satisfy every check with a parity bit unlike z
         for c, h in enumerate(self._codes()):
             lay = h.decode_plan()
             for f in range(3):
                 q, s_max = self.PAIRS[(c + f) % len(self.PAIRS)]
                 p = 0.03 + 0.04 * f
                 _, y, z = _noisy_frame(h, p, [c, f, 1])
+                if f > 0:  # a corrupted parity block, which BP may overrule
+                    z = z ^ (np.arange(h.m) % (f + 2) == 0).astype(np.uint8)
                 for kernel in ("table", "minsum"):
                     runs = []
                     for lib in (c_backend, None):  # None: the numpy code
@@ -370,6 +373,10 @@ class TestBackendsAgree:
                         passes = []
                         for alpha, iters in ((-2.9, 2), (math.log(p / (1 - p)), 7), (-0.4, 0)):
                             out = side_info_pass(frame, alpha, iters)
+                            bits = frame.hard_bits
+                            assert out.parity_ok == np.array_equal(bits[h.k :], z)
+                            assert out.disagreements == np.count_nonzero(bits[: h.k] != y)
+                            overruled += out.syndrome_ok and not out.parity_ok
                             passes.append((out, frame.hard_bits.copy(), frame.posterior.copy(),
                                            frame.c2v[lay.valid].copy()))
                         runs.append(passes)
@@ -377,6 +384,7 @@ class TestBackendsAgree:
                         assert got[0] == want[0]
                         for a, b in zip(got[1:], want[1:]):
                             assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert overruled > 0
 
     def test_encode(self, c_backend, monkeypatch, toy_code, ragged_code):
         rng = np.random.default_rng(4005)
