@@ -79,6 +79,8 @@ class CodeSpec:
     def __post_init__(self) -> None:
         if self.k <= 0 or self.n <= self.k:
             raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
+        if not math.isfinite(self.dv_target):
+            raise ValueError(f"dv_target must be finite, got {self.dv_target}")
         if self.design_p is not None and not 0.0 < self.design_p < 0.5:
             raise ValueError(f"design_p must lie in (0, 0.5), got {self.design_p}")
         if self.rate_x is not None and abs(self.rate_x - self.exact_rate_x) > 1e-3:

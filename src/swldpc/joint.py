@@ -3,8 +3,8 @@
 The decoder does not know the realized flip probability between the source
 and the side information. It starts from the design value, decodes, measures
 the disagreement between the reconstruction and the side information, and
-repeats with the refreshed log-odds until the estimate moves by less than
-1e-4 or the global-iteration cap is reached.
+repeats with the refreshed log-odds until a pass decodes, the estimate moves
+by less than 1e-4, or the global-iteration cap is reached.
 
 Each global iteration continues belief propagation from the messages the
 previous one ended with, so the local-iteration budget accumulates across
@@ -12,7 +12,8 @@ global iterations instead of restarting from the channel values. After a pass
 that decodes the parity exactly, the estimate is the exact disagreement count
 of its hard decisions; after a failed pass, whose hard decisions are biased
 towards the side information, it is the posterior expectation of that count.
-A pass that decoded exactly is kept: a later pass that fails never replaces it.
+The first pass that decodes exactly ends the loop: its estimate is the exact
+count, so another pass has nothing left to track.
 
 Each pass is one bp.side_info_pass over a bp.SideInfoFrame made once per
 decode: under the compiled backend a single call, free of the interpreter
@@ -161,13 +162,11 @@ def joint_decode(
     posterior expectation of that count (estimate_alpha_posterior), because
     the hard decisions of a failed pass lean towards y.
 
-    The loop leaves early only when the estimate moves by less than
-    ALPHA_TOLERANCE; a converged decode therefore still spends one more
-    global iteration confirming its own estimate. The result is the last pass
-    that decoded, even if a later pass failed, and success is True exactly
-    when some pass decoded; otherwise the result is the last pass. final_state
-    holds the estimate of the returned pass and the trace of every pass.
-    max_global must be >= 1 and max_local >= 0.
+    The loop returns at the first pass that decodes. A run of passes that do
+    not decode ends when the estimate moves by less than ALPHA_TOLERANCE or
+    at max_global. The result is the last pass run: success is True exactly
+    when it decoded, and final_state holds its estimate and the trace of
+    every pass. max_global must be >= 1 and max_local >= 0.
     """
     z = as_bit_array(z, h.m, "parity block")
     y = as_bit_array(y, h.k, "side information")
@@ -180,13 +179,12 @@ def joint_decode(
 
     trace: list[GlobalIterationRecord] = []
     local_total = 0
-    kept = None  # (x_hat, estimate) of the last pass that decoded
     for i in range(1, max_global + 1):
         out = side_info_pass(frame, alpha, max_local)
         local_total += out.iterations_used
-        if out.syndrome_ok and out.parity_ok:
+        decoded = out.syndrome_ok and out.parity_ok
+        if decoded:
             est = _log_odds(out.disagreements, h.k)
-            kept = (frame.hard_bits[: h.k].copy(), est)  # a later pass overwrites the frame
         else:
             est = _posterior_estimate(frame.posterior, q, y)
         trace.append(
@@ -194,15 +192,13 @@ def joint_decode(
                 index=i, alpha=est.alpha, p_hat=est.p_hat, syndrome_ok=out.syndrome_ok
             )
         )
-        moved = abs(est.alpha - alpha)
-        alpha = est.alpha
-        if moved < ALPHA_TOLERANCE:
+        if decoded or abs(est.alpha - alpha) < ALPHA_TOLERANCE:
             break
+        alpha = est.alpha
 
-    x_hat, est = kept if kept is not None else (frame.hard_bits[: h.k].copy(), est)
     return JointDecodeResult(
-        x_hat=x_hat,
-        success=kept is not None,
+        x_hat=frame.hard_bits[: h.k].copy(),
+        success=decoded,
         global_iters_used=len(trace),
         local_iters_total=local_total,
         final_state=CorrelationState(alpha=est.alpha, p_hat=est.p_hat, trace=trace),

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,6 +46,17 @@ REFERENCE_TOTAL_RATES = {
 }
 
 _CHUNK = 32  # frames evaluated per scheduling round, independent of workers
+
+_INT_FIELDS = ("frames", "error_frame_target", "max_local", "max_global", "seed", "build_seed")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
 
 CSV_COLUMNS = [
     "code",
@@ -87,8 +100,26 @@ class SweepConfig:
     record_frames: bool = False
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not _is_real(self.ber_target):
+            raise ValueError(f"ber_target must be a number, got {self.ber_target!r}")
+        if not isinstance(self.record_frames, bool):
+            raise ValueError(f"record_frames must be true or false, got {self.record_frames!r}")
+        if not isinstance(self.codes, (list, tuple)) or not all(
+            isinstance(c, (str, os.PathLike)) for c in self.codes
+        ):
+            raise ValueError(f"codes must be a list of registry ids or alist paths, got {self.codes!r}")
+        if not isinstance(self.points, (list, tuple)) or not all(
+            isinstance(pt, (list, tuple)) and len(pt) == 2 and all(map(_is_real, pt))
+            for pt in self.points
+        ):
+            raise ValueError(f"points must be a list of [mean_p, delta_p] pairs, got {self.points!r}")
         if self.frames < 0:
             raise ValueError(f"frame budget must be >= 0, got {self.frames}")
+        if self.seed < 0 or self.build_seed < 0:
+            raise ValueError("seed and build_seed must be >= 0")
         if not self.points:
             raise ValueError("sweep needs at least one (mean_p, delta_p) point")
         if not self.codes:
@@ -111,11 +142,15 @@ class SweepConfig:
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
         raw = json.loads(text)
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"sweep config must be a JSON object, got {type(raw).__name__}")
+        fields = dataclasses.fields(cls)
+        extra = set(raw) - {f.name for f in fields}
         if extra:
             raise ValueError(f"unknown sweep config fields: {sorted(extra)}")
-        raw["points"] = [tuple(p) for p in raw.get("points", [])]
+        missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in raw]
+        if missing:
+            raise ValueError(f"missing sweep config fields: {missing}")
         return cls(**raw)
 
 

@@ -438,8 +438,8 @@ GOLDEN = {
     "irregular_code-minsum": "ab86c1fb36f5e0167c19f101cab2003a78cc2b6638b1123adda0d6237a8d0e40",
     "small-table": "b0cb170de1c881ed1746bd0c66dfafffa513d2fd80c87bcf5200979c8bbe4135",
     "small-minsum": "51d6751928f73821b08f5b1d32045afa0fb85cd63fe8358f6bdf24ebef53508b",
-    "joint": "f2aa43dd4c260acc547aa899af55c6d30aaa60559380adb0b2002865d3fe251b",
-    "sweep-csv": "c2718def2db7cb552fcf04fbccf4eb4be22c731f0e5d8d2999f09cf1b45c87ca",
+    "joint": "ef2dec2281b3f27724fdf0c11aa4226be72a36b383b8aa81228b7a764f4329f0",
+    "sweep-csv": "588a0ab0bd982c367f75400643be394ee2b9d5d5720d9a7eb7275be47675aea1",
 }
 
 

@@ -221,6 +221,27 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", "cfg.json", "-o", "out.csv"])
         assert rc == 2
 
+    @pytest.mark.parametrize("edit", [
+        {"points": [0.05]},
+        {"frames": "2"},
+        {"frames": 1.5},
+        {"codes": 5},
+        {"max_local": None},
+        {"seed": 1.5},
+        [1, 2],
+    ], ids=["point-not-pair", "frames-str", "frames-float", "codes-int", "max-local-null",
+            "seed-float", "top-level-list"])
+    def test_malformed_config_exits_2_with_one_error_line(self, workdir, capsys, edit):
+        cfg = {"codes": ["D1"], "points": [[0.05, 0.0]], "frames": 2}
+        doc = {**cfg, **edit} if isinstance(edit, dict) else edit
+        (workdir / "cfg.json").write_text(json.dumps(doc))
+        rc = main(["sweep", "--config", "cfg.json", "-o", "out.csv"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "unknown sweep config fields" not in err
+        assert not (workdir / "out.csv").exists()
+
 
 class TestArgumentErrors:
     def test_unknown_subcommand_exits_2(self):

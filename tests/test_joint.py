@@ -108,23 +108,31 @@ class TestJointDecode:
             )
         assert res.global_iters_used == len(res.final_state.trace)
 
-    def test_converged_frame_takes_two_globals(self, desk_code):
-        # First BP converges; the second global run confirms that alpha no
-        # longer moves (the estimate of an identical x_hat is identical).
+    def test_converged_frame_takes_one_global(self, desk_code, monkeypatch):
+        # The first pass decodes, and a decoded pass ends the decode.
         x, y, z = _frame(desk_code, 0.02, seed=5)
+        real = sw.bp.side_info_pass
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("swldpc.joint.side_info_pass", counting)
         res = sw.joint_decode(desk_code, z, y, design_p=0.05)
         assert res.success
-        assert res.global_iters_used == 2
-        a1 = res.final_state.trace[0].alpha
-        a2 = res.final_state.trace[1].alpha
-        assert abs(a2 - a1) < sw.ALPHA_TOLERANCE
+        assert len(calls) == 1
+        assert res.global_iters_used == len(res.final_state.trace) == 1
 
     def test_stopping_rule_shape(self, desk_code):
+        # A decode ends at a decoded pass, at a stalled estimate or at the cap.
         x, y, z = _frame(desk_code, 0.02, seed=9)
         res = sw.joint_decode(desk_code, z, y, design_p=0.05, max_global=5)
         trace = res.final_state.trace
         assert 1 <= len(trace) <= 5
-        if len(trace) < 5:
+        if res.success:
+            assert trace[-1].syndrome_ok
+        elif len(trace) < 5:
             alphas = [sw.initial_alpha(0.05)] + [t.alpha for t in trace]
             assert abs(alphas[-1] - alphas[-2]) < sw.ALPHA_TOLERANCE
 
@@ -196,9 +204,9 @@ class TestJointDecode:
             assert abs(res.final_state.p_hat - actual) < abs(hard - actual)
             assert res.final_state.p_hat == res.final_state.trace[-1].p_hat
 
-    def test_converged_pass_survives_failed_later_passes(self, desk_code, monkeypatch):
-        # Every pass after the first is made to fail; the decode of the first
-        # pass, which satisfied every check and reproduced z, is returned.
+    def test_decoded_first_pass_ends_the_decode(self, desk_code, monkeypatch):
+        # Every pass after the first would be made to fail; none runs, because
+        # the first pass satisfied every check and reproduced z.
         x, y, z = _frame(desk_code, 0.02, seed=5)
         real = sw.bp.side_info_pass
         calls = []
@@ -213,9 +221,8 @@ class TestJointDecode:
 
         monkeypatch.setattr("swldpc.joint.side_info_pass", failing_after_first)
         res = sw.joint_decode(desk_code, z, y, design_p=0.05)
-        trace = res.final_state.trace
-        assert trace[0].syndrome_ok
-        assert len(trace) >= 2 and not any(t.syndrome_ok for t in trace[1:])
+        assert len(calls) == 1
+        assert [t.syndrome_ok for t in res.final_state.trace] == [True]
         assert res.success
         assert np.array_equal(res.x_hat, x)
         assert res.final_state.p_hat == np.count_nonzero(x ^ y) / desk_code.k

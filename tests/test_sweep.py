@@ -41,6 +41,7 @@ class TestSweepConfig:
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, kernel="magic"),
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, max_local=0),
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, error_frame_target=0),
+            dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, seed=-1),
         ],
     )
     def test_invalid_configs(self, kwargs):
