@@ -8,9 +8,12 @@
  * y, z and two quantized levels, runs the BP loop, and compares the hard
  * decisions with z and y, so that the Python between passes is small and
  * several decoding threads overlap. bp_run and side_info_pass share one
- * static loop body, bp_loop. Nothing here keeps static state: every buffer
- * is passed in by the caller, so several threads may run the kernels at
- * once. Every function reproduces the numpy code bit for bit; that code is
+ * static loop body, bp_loop, and take the check-to-variable messages in the
+ * padded layout below, which they update in place; the row-major edge order
+ * of bp_decode's public messages is known to bp.py alone. Iteration caps
+ * reach here checked by bp._check_iters, so they fit an int32_t. Nothing
+ * here keeps static state: every buffer is passed in by the caller, so
+ * several threads may run the kernels at once. Every function reproduces the numpy code bit for bit; that code is
  * the fallback when no compiler works and the oracle the tests hold this
  * file to. The file compiles without warnings under -Wall -Wextra.
  */
@@ -173,33 +176,19 @@ bp_loop(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *ll
     return iters;
 }
 
-/* Flooding BP with messages in row-major edge order outside: c2v_in holds
- * the starting messages, one per real edge, or is NULL for a cold start;
- * c2v_out receives the last round's in that order. pad is the box-plus
- * identity on pads; table is NULL for min-sum. work is scratch of n + 1
- * int64 values followed by 2 d m + m int32 values. The other arguments and
- * the outputs are bp_loop's. */
+/* Flooding BP for bp.bp_decode: bp_loop with its arguments, the messages in
+ * c2v in the padded layout and updated in place, as side_info_pass keeps
+ * them. pad is the box-plus identity on pads; table is NULL for min-sum;
+ * max_iters is at least 0. work is scratch of n + 1 int64 values followed by
+ * d m + m int32 values. */
 VECTOR_CLONES
 int32_t bp_run(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
                int32_t s_max, int32_t pad, const int32_t *table, int32_t tmax,
-               int32_t max_iters, const int32_t *c2v_in, int64_t *work, uint8_t *bits,
-               int32_t *posterior, int32_t *c2v_out, int32_t *ok)
+               int32_t max_iters, int32_t *c2v, int64_t *work, uint8_t *bits,
+               int32_t *posterior, int32_t *ok)
 {
-    int64_t entries = (int64_t)d * m, e = 0;
-    int32_t *c2v = (int32_t *)(work + n + 1) + entries + m;
-    for (int64_t x = 0; x < entries; x++)
-        c2v[x] = 0;
-    if (c2v_in)
-        for (int32_t i = 0; i < m; i++)
-            for (int64_t x = i; x < entries && cols[x] < n; x += m)
-                c2v[x] = c2v_in[e++];
-    int32_t iters = bp_loop(m, n, d, cols, llr, s_max, pad, table, tmax, max_iters, c2v, work,
-                            bits, posterior, ok);
-    e = 0;
-    for (int32_t i = 0; i < m; i++)
-        for (int64_t x = i; x < entries && cols[x] < n; x += m)
-            c2v_out[e++] = c2v[x];
-    return iters;
+    return bp_loop(m, n, d, cols, llr, s_max, pad, table, tmax, max_iters, c2v, work, bits,
+                   posterior, ok);
 }
 
 /* One pass of the side-information decoder on a code with k systematic

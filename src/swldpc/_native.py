@@ -12,7 +12,7 @@ built or loaded, one warning is emitted and bp_decode, the joint decoder's
 passes, encode and build_code run their numpy code instead.
 
 Each wrapper takes the arguments and returns the results of its numpy
-counterpart: bp_run those of bp._bp_numpy, SideInfoPass those of
+counterpart: bp_run those of bp._bp_loop, SideInfoPass those of
 bp._pass_numpy, encode those of encoding._encode_numpy and peg_place those
 of codes._place_edges. SideInfoPass takes its buffers' addresses once per
 frame, so that each pass of a joint decode is one short ctypes call.
@@ -43,14 +43,13 @@ _lock = threading.Lock()
 _P = ctypes.c_void_p
 _I = ctypes.c_int32
 _SIGNATURES = {  # name: (return type, argument types)
-    "bp_run": (_I, [_I, _I, _I, _P, _P, _I, _I, _P, _I, _I, _P, _P, _P, _P, _P, _P]),
+    "bp_run": (_I, [_I, _I, _I, _P, _P, _I, _I, _P, _I, _I, _P, _P, _P, _P, _P]),
     "side_info_pass": (
         _I, [_I, _I, _I, _I, _P, _P, _P, _I, _I, _P, _I, _P, _P, _P, _P, _P, _I, _I, _I]
     ),
     "encode_run": (None, [_I, _I, _I, _P, _P, _P]),
     "peg_place": (_I, [_I, _I, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P]),
 }
-_INT32_MAX = 2**31 - 1
 
 
 def library_path() -> Path:
@@ -122,33 +121,26 @@ def _ptr(arr: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(arr))
 
 
-def bp_run(dll, layout, llr, s_max, pad, table, max_iters, c2v):
+def bp_run(dll, layout, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
     """Run the whole BP loop in C on layout's padded edge matrix.
 
     llr holds the n stored channel values; pad is the box-plus identity the
     pads hold; table is the correction table with its trailing zero, or None
-    for min-sum; c2v holds the starting messages, one per edge in row-major
-    order, or None for a cold start. All are C-contiguous int32 arrays.
-    Returns (iterations, syndrome_ok, hard bits, posterior values, c2v).
+    for min-sum; c2v holds the starting messages in the padded layout and
+    receives the last round's; bits (uint8) and posterior receive the hard
+    decisions and the clipped posterior. Every array is C-contiguous,
+    writable and int32 but for bits. Returns (iterations, syndrome_ok).
     """
     d, m = layout.cols.shape
     n = llr.size
-    # ctypes exports writable buffers only
-    llr = llr if llr.flags.writeable else llr.copy()
-    if c2v is not None and not c2v.flags.writeable:
-        c2v = c2v.copy()
-    work = np.empty(n + 1 + (2 * d * m + m + 1) // 2, dtype=np.int64)
-    bits = np.empty(n, dtype=np.uint8)
-    posterior = np.empty(n, dtype=np.int32)
-    c2v_out = np.empty(layout.edges, dtype=np.int32)
+    work = np.empty(n + 1 + (d * m + m + 1) // 2, dtype=np.int64)
     ok = ctypes.c_int32()
     iters = dll.bp_run(
         m, n, d, _ptr(layout.cols), _ptr(llr), s_max, pad,
         None if table is None else _ptr(table), 0 if table is None else table.size - 1,
-        min(max_iters, _INT32_MAX), None if c2v is None else _ptr(c2v),
-        _ptr(work), _ptr(bits), _ptr(posterior), _ptr(c2v_out), ctypes.byref(ok),
+        max_iters, _ptr(c2v), _ptr(work), _ptr(bits), _ptr(posterior), ctypes.byref(ok),
     )
-    return iters, bool(ok.value), bits, posterior, c2v_out
+    return iters, bool(ok.value)
 
 
 class SideInfoPass:
@@ -178,7 +170,7 @@ class SideInfoPass:
         )
 
     def __call__(self, level1, level0, max_iters):
-        iters = self._fn(*self._args, level1, level0, min(max_iters, _INT32_MAX))
+        iters = self._fn(*self._args, level1, level0, max_iters)
         ok, same, differ = self._stats.tolist()
         return iters, bool(ok), bool(same), differ
 

@@ -10,8 +10,10 @@ table (default), or pure min-sum.
 bp_decode runs BP from a given LLR vector. side_info_pass runs one pass of
 the joint decoder on a SideInfoFrame, which holds a frame's side information
 and parity and the messages its passes share; it builds the channel values
-itself. Both go through one BP loop per backend: bp_loop in _kernels.c,
-_bp_loop here.
+itself. Both go through one BP loop per backend, bp_loop in _kernels.c and
+_bp_loop here, which take the same arguments: the messages in the code's
+padded EdgeLayout, updated in place, and output buffers for the hard bits
+and the posterior.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
 DEFAULT_Q = 3
 DEFAULT_S_MAX = 10000
 S_MAX_LIMIT = 2**29
+_ITERS_LIMIT = 2**31 - 1  # the compiled loop counts rounds in an int32
 
 KERNELS = ("table", "minsum")
 
@@ -76,8 +79,9 @@ class DecodeOutcome:
     c2v holds the check-to-variable messages of the last round, one per edge
     in row-major order, the order of np.concatenate(h.rows) (all zero when no
     round ran from a cold start); passing it back to bp_decode warm-starts
-    the next run. Inside bp_decode, under either backend, the messages live
-    in the code's padded EdgeLayout and are converted on entry and exit.
+    the next run. The BP loop of either backend works on the code's padded
+    EdgeLayout; bp_decode converts the messages to it once on entry and back
+    once on exit.
     """
 
     hard_bits: np.ndarray
@@ -176,11 +180,14 @@ def _box_minsum(a, b):
     return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
 
 
-def _pad_and_table(lay, q: int, s_max: int, kernel: str):
-    """The pad value and the correction table (None for min-sum) of BP runs
-    on layout lay at scale q and clip s_max."""
+def _bp_setup(h: SparseParityMatrix, q: int, s_max: int, kernel: str):
+    """What a BP run on h at scale q and clip s_max needs besides its
+    channel values: the layout, the pad value, the correction table (None for
+    min-sum), zeroed padded messages and empty hard-bit and posterior
+    buffers."""
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    lay = h.decode_plan()
     table = _table_for(q)
     # Pads hold a box-plus identity P: box(x, P) == x for every x a scan can
     # hold. Reductions of real messages stay within X = max(s_max, table[0]);
@@ -189,12 +196,14 @@ def _pad_and_table(lay, q: int, s_max: int, kernel: str):
     # at most table[0] per step.
     tmax = table.size - 1
     pad = max(s_max, int(table[0])) + tmax + 1 + lay.cols.shape[0] * int(table[0])
-    return pad, table if kernel == "table" else None
+    return (lay, pad, table if kernel == "table" else None,
+            np.zeros(lay.cols.shape, dtype=np.int32),
+            np.empty(h.n_cols, dtype=np.uint8), np.empty(h.n_cols, dtype=np.int32))
 
 
 def _check_iters(max_iters: int, name: str) -> None:
-    if max_iters < 0:
-        raise ValueError(f"{name} must be >= 0, got {max_iters}")
+    if not 0 <= max_iters <= _ITERS_LIMIT:
+        raise ValueError(f"{name} must be >= 0 and <= {_ITERS_LIMIT}, got {max_iters}")
 
 
 def bp_decode(
@@ -210,7 +219,8 @@ def bp_decode(
     decisions are bit = 1 iff the posterior is positive (ties resolve to 0).
     The run stops as soon as the hard decisions satisfy every check, so a
     clean starting point reports zero iterations. All messages stay within
-    [-s_max, s_max]. max_local_iters caps the rounds and must be >= 0.
+    [-s_max, s_max]. max_local_iters caps the rounds and must lie in
+    [0, 2**31 - 1].
 
     c2v, the messages of an earlier run on the same code (DecodeOutcome.c2v),
     warm-starts the run: the bit nodes are first updated from those messages
@@ -222,30 +232,29 @@ def bp_decode(
     numpy otherwise; both give the same outcome bit for bit.
     """
     _check_iters(max_local_iters, "max_local_iters")
-    lay = h.decode_plan()
-    pad, table = _pad_and_table(lay, init.q, init.s_max, kernel)
+    s_max = init.s_max
+    lay, pad, table, padded, bits, post = _bp_setup(h, init.q, s_max, kernel)
     if init.values.size != h.n_cols:
         raise ValueError(f"init has {init.values.size} values for n={h.n_cols}")
-    s_max = init.s_max
     if c2v is not None:
         c2v = np.ascontiguousarray(c2v, dtype=np.int32)
         if c2v.shape != (lay.edges,):
             raise ValueError(f"c2v has shape {c2v.shape} for {lay.edges} edges")
         if _magnitude(c2v) > s_max:
             raise ValueError(f"c2v magnitudes must not exceed s_max={s_max}")
+        padded.T[lay.valid.T] = c2v  # row-major edges outside
 
-    args = (lay, np.ascontiguousarray(init.values, dtype=np.int32), s_max, pad, table,
-            max_local_iters, c2v)
     dll = _native.lib()
-    iterations, ok, bits, post, c2v = (
-        _bp_numpy(*args) if dll is None else _native.bp_run(dll, *args)
-    )
+    run = _bp_loop if dll is None else functools.partial(_native.bp_run, dll)
+    # _native takes the addresses of writable buffers only
+    llr = np.require(init.values, np.int32, "CW")
+    iterations, ok = run(lay, llr, s_max, pad, table, max_local_iters, padded, bits, post)
     return DecodeOutcome(
         hard_bits=bits,
         posterior=LlrqVector(post, q=init.q, s_max=s_max, k=init.k),
         iterations_used=iterations,
         syndrome_ok=ok,
-        c2v=c2v,
+        c2v=padded.T[lay.valid.T],
     )
 
 
@@ -274,12 +283,8 @@ class SideInfoFrame:
     def __init__(self, h: SparseParityMatrix, y: np.ndarray, z: np.ndarray,
                  kernel: str = "table", q: int = DEFAULT_Q, s_max: int = DEFAULT_S_MAX):
         _check_scale(q, s_max)
-        lay = h.decode_plan()
-        pad, table = _pad_and_table(lay, q, s_max, kernel)
         self.q, self.s_max = q, s_max
-        self.c2v = np.zeros(lay.cols.shape, dtype=np.int32)
-        self.hard_bits = np.empty(h.n_cols, dtype=np.uint8)
-        self.posterior = np.empty(h.n_cols, dtype=np.int32)
+        lay, pad, table, self.c2v, self.hard_bits, self.posterior = _bp_setup(h, q, s_max, kernel)
         args = (lay, h.k, y, z, s_max, pad, table, self.c2v, self.hard_bits, self.posterior)
         dll = _native.lib()
         self.run = (
@@ -293,9 +298,9 @@ def side_info_pass(frame: SideInfoFrame, alpha: float, max_iters: int) -> PassOu
 
     The systematic channel values are those of init_from_side_info: the
     quantized LLR (2*y - 1) * |alpha|; the parity bits saturate to
-    (2*z - 1) * s_max. The pass runs at most max_iters rounds (>= 0, not
-    checked here), continuing from the frame's messages, and leaves its hard
-    decisions and posterior in the frame.
+    (2*z - 1) * s_max. The pass runs at most max_iters rounds, which must
+    lie in [0, 2**31 - 1] (not checked here), continuing from the frame's
+    messages, and leaves its hard decisions and posterior in the frame.
     """
     a = abs(alpha)
     return PassOutcome(*frame.run(
@@ -303,11 +308,12 @@ def side_info_pass(frame: SideInfoFrame, alpha: float, max_iters: int) -> PassOu
     ))
 
 
-def _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v):
-    """The numpy flooding loop. c2v holds the starting messages in the padded
-    layout, whose pad entries are never read, and receives the last round's.
-    Returns (iterations, syndrome_ok, column totals); the totals are in the
-    internal sign, with entry n for the sentinel."""
+def _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
+    """The numpy flooding loop, with _native.bp_run's arguments and results.
+    c2v holds the starting messages in the padded layout, whose pad entries
+    are never read, and receives the last round's; bits and posterior receive
+    the hard decisions and the clipped posterior (stored sign). Returns
+    (iterations, syndrome_ok)."""
     if table is None:
         box = _box_minsum
     else:
@@ -348,25 +354,9 @@ def _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v):
             if not lay.row_parity((tot < 0).astype(np.uint8)).any():
                 ok = True
                 break
-    return iterations, bool(ok), tot
-
-
-def _outputs(tot, s_max, bits, posterior):
-    """Hard decisions and clipped posterior (stored sign) from the totals."""
     bits[:] = tot[:-1] < 0
     posterior[:] = np.clip(-tot[:-1], -s_max, s_max)
-
-
-def _bp_numpy(lay, llr, s_max, pad, table, max_iters, c2v):
-    """bp_decode's loop in numpy, with _native.bp_run's arguments and results."""
-    padded = np.zeros(lay.cols.shape, dtype=np.int32)
-    if c2v is not None:
-        padded.T[lay.valid.T] = c2v  # row-major edges outside
-    iterations, ok, tot = _bp_loop(lay, llr, s_max, pad, table, max_iters, padded)
-    bits = np.empty(llr.size, dtype=np.uint8)
-    posterior = np.empty(llr.size, dtype=np.int32)
-    _outputs(tot, s_max, bits, posterior)
-    return iterations, ok, bits, posterior, padded.T[lay.valid.T]
+    return iterations, bool(ok)
 
 
 def _pass_numpy(lay, k, y, z, s_max, pad, table, c2v, bits, posterior, level1, level0, max_iters):
@@ -374,7 +364,6 @@ def _pass_numpy(lay, k, y, z, s_max, pad, table, c2v, bits, posterior, level1, l
     llr = np.empty(bits.size, dtype=np.int32)
     llr[:k] = np.where(y, level1, level0)
     llr[k:] = np.where(z, s_max, -s_max)
-    iterations, ok, tot = _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v)
-    _outputs(tot, s_max, bits, posterior)
+    iterations, ok = _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v, bits, posterior)
     return (iterations, ok, bool(np.array_equal(bits[k:], z)),
             int(np.count_nonzero(bits[:k] != y)))

@@ -35,6 +35,11 @@ class CorrelationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison, so the range checks below would pass it
+        if self.mean_p != self.mean_p or self.delta_p != self.delta_p:
+            raise ValueError(
+                f"mean_p and delta_p must not be NaN, got {self.mean_p}, {self.delta_p}"
+            )
         if not 0.0 < self.mean_p < 0.5:
             raise ValueError(f"mean_p must lie in (0, 0.5), got {self.mean_p}")
         if self.delta_p < 0.0:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bp import KERNELS
+from .bp import KERNELS, _check_iters
 from .codes import CODE_REGISTRY, SparseParityMatrix, build_code, load_alist
 from .encoding import encode
 from .joint import joint_decode, non_iterative_decode
@@ -103,7 +103,7 @@ class SweepConfig:
         for name in _INT_FIELDS:
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not _is_real(self.ber_target):
+        if not _is_real(self.ber_target) or self.ber_target != self.ber_target:  # or NaN
             raise ValueError(f"ber_target must be a number, got {self.ber_target!r}")
         if not isinstance(self.record_frames, bool):
             raise ValueError(f"record_frames must be true or false, got {self.record_frames!r}")
@@ -130,6 +130,7 @@ class SweepConfig:
             raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
         if self.max_local < 1 or self.max_global < 1:
             raise ValueError("iteration caps must be >= 1")
+        _check_iters(self.max_local, "max_local")  # the upper bound
         if self.error_frame_target < 1:
             raise ValueError("error_frame_target must be >= 1")
         self.points = [(float(p), float(d)) for p, d in self.points]

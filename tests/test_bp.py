@@ -298,19 +298,25 @@ class TestReferenceDecoder:
 
     @pytest.mark.parametrize("q,s_max", [(3, 20), (4, 40), (5, 30), (5, 100), (2, 5), (3, 10000)])
     @pytest.mark.parametrize("kernel", ["table", "minsum"])
-    def test_matches_reference(self, backend, toy_code, small_code, kernel, q, s_max):
+    def test_matches_reference(self, backend, toy_code, small_code, ragged_code, kernel, q,
+                               s_max):
         table = correction_table_ref(q) if kernel == "table" else None
-        cases = [(toy_code, 6), (small_code, 2), (_one_edge_row_code(), 4)]
+        cases = [(toy_code, 6), (small_code, 2), (_one_edge_row_code(), 4), (ragged_code, 2)]
         for h, frames in cases:
             for seed in range(frames):
                 _, y, z = _noisy_frame(h, 0.08, seed)
-                init = sw.init_from_side_info(y, z, math.log(0.08 / 0.92), q=q, s_max=s_max)
-                out = sw.bp_decode(h, init, max_local_iters=12, kernel=kernel)
-                bits, rounds, ok, post, c2v = bp_ref(h.rows, init.values, s_max, table, 12)
-                assert out.iterations_used == rounds and out.syndrome_ok == ok
-                assert out.hard_bits.tolist() == bits
-                assert out.posterior.values.tolist() == post
-                assert out.c2v.tolist() == c2v
+                start = None  # a cold run, then one warm from its messages at another alpha
+                for p in (0.08, 0.03):
+                    init = sw.init_from_side_info(y, z, math.log(p / (1 - p)), q=q, s_max=s_max)
+                    out = sw.bp_decode(h, init, max_local_iters=12, kernel=kernel, c2v=start)
+                    bits, rounds, ok, post, c2v = bp_ref(
+                        h.rows, init.values, s_max, table, 12, c2v=start
+                    )
+                    assert out.iterations_used == rounds and out.syndrome_ok == ok
+                    assert out.hard_bits.tolist() == bits
+                    assert out.posterior.values.tolist() == post
+                    assert out.c2v.tolist() == c2v
+                    start = out.c2v
 
 
 class TestBackendsAgree:

@@ -1,6 +1,7 @@
 """Command-line interface: all five subcommands and their exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ class TestSimulate:
                    "--frames", "1", "-o", "bad"])
         assert rc == 2
 
+    def test_nan_delta_p_exits_2_with_one_error_line(self, workdir, capsys):
+        rc = main(["simulate", "--k", "16", "--mean-p", "0.05", "--delta-p", "nan",
+                   "--frames", "2", "-o", "s"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestEncodeDecode:
     def test_full_round_trip(self, workdir):
@@ -111,7 +119,9 @@ class TestEncodeDecode:
         "flags,name",
         [(["--max-global", "0"], "max_global"), (["--max-global", "-2"], "max_global"),
          (["--max-local", "-3"], "max_local"),
-         (["--no-global-iter", "--max-local", "-1"], "max_local")],
+         (["--no-global-iter", "--max-local", "-1"], "max_local"),
+         (["--max-local", "2147483648"], "max_local"),
+         (["--no-global-iter", "--max-local", str(2**70)], "max_local")],
     )
     def test_bad_iteration_cap_exits_2(self, workdir, capsys, flags, name):
         code = _design(workdir)
@@ -229,8 +239,11 @@ class TestSweepCommand:
         {"max_local": None},
         {"seed": 1.5},
         [1, 2],
+        {"points": [[0.05, math.nan]]},
+        {"ber_target": math.nan},
+        {"max_local": 2**31},
     ], ids=["point-not-pair", "frames-str", "frames-float", "codes-int", "max-local-null",
-            "seed-float", "top-level-list"])
+            "seed-float", "top-level-list", "point-nan", "ber-target-nan", "max-local-huge"])
     def test_malformed_config_exits_2_with_one_error_line(self, workdir, capsys, edit):
         cfg = {"codes": ["D1"], "points": [[0.05, 0.0]], "frames": 2}
         doc = {**cfg, **edit} if isinstance(edit, dict) else edit

@@ -266,6 +266,19 @@ class TestValidation:
         # a cap of 0 runs the bit-node update alone
         assert sw.joint_decode(desk_code, z, y, design_p=0.05, max_local=0).local_iters_total == 0
 
+    def test_decoders_reject_local_cap_above_int32(self, backend, desk_code):
+        # the compiled loop counts rounds in an int32; both backends share the bound
+        x, y, z = _frame(desk_code, 0.02, seed=3)
+        init = sw.init_from_side_info(y, z, sw.initial_alpha(0.05))
+        calls = [
+            lambda: sw.joint_decode(desk_code, z, y, design_p=0.05, max_local=2**31),
+            lambda: sw.non_iterative_decode(desk_code, z, y, design_p=0.05, max_local=2**40),
+            lambda: sw.bp_decode(desk_code, init, max_local_iters=2**31),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="<= 2147483647"):
+                call()
+
     @pytest.mark.parametrize("bad", NOT_BITS)
     def test_public_helpers_reject_non_bits(self, desk_code, bad):
         x, y, z = _frame(desk_code, 0.02, seed=3)

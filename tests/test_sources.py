@@ -26,6 +26,8 @@ class TestCorrelationConfig:
             (0.1, -0.001),
             (0.45, 0.06),   # mean + delta reaches 0.51
             (0.004, 0.005), # mean - delta goes negative
+            (0.05, math.nan),  # fails no comparison
+            (math.nan, 0.0),
         ],
     )
     def test_invalid_config_rejected(self, mean_p, delta_p):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,9 @@ class TestSweepConfig:
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, max_local=0),
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, error_frame_target=0),
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, seed=-1),
+            dict(codes=["D1"], points=[(0.05, math.nan)], frames=4),
+            dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, ber_target=math.nan),
+            dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, max_local=2**31),
         ],
     )
     def test_invalid_configs(self, kwargs):
