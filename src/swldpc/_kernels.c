@@ -16,15 +16,25 @@
  * several threads may run the kernels at once. Every function reproduces the numpy code bit for bit; that code is
  * the fallback when no compiler works and the oracle the tests hold this
  * file to. The file compiles without warnings under -Wall -Wextra.
+ *
+ * The check pass adds the correction table[min(|a +- b|, tmax)] to min-sum
+ * without looking the table up: a non-increasing step table's entry at u is
+ * the number of its thresholds T_j = min{u : table[u] < j} above u. Tables
+ * of up to 8 steps (table[0] <= 8, which holds for q <= 3, the default
+ * included) take that count and keep the loop vectorised; larger ones are
+ * looked up.
  */
+#include <stddef.h>
 #include <stdint.h>
 
 /* On x86-64 with glibc, bp_run and side_info_pass are built twice, for AVX2
  * and for the baseline instruction set, and the loader picks the one the CPU
- * runs (an ifunc); bp_loop is inlined into each build. The compile flags so
- * stay portable; all arithmetic is integer, so both builds give the same
- * bits. Elsewhere, or with a compiler that does not know the attribute,
- * there is one baseline build. */
+ * runs (an ifunc). bp_loop and every pass and row loop under it are always
+ * inlined into each build: a helper that GCC outlines is built once, for the
+ * baseline, and serves both. The compile flags so stay portable; all
+ * arithmetic is integer, so both builds give the same bits. Elsewhere, or
+ * with a compiler that does not know the attribute, there is one baseline
+ * build. */
 #if defined(__x86_64__) && defined(__GLIBC__)
 #define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
 #else
@@ -73,11 +83,52 @@ static inline int32_t box_table(int32_t a, int32_t b, const int32_t *table, int3
     return box_minsum(a, b) + table[u] - table[w];
 }
 
-/* out[i] = box(a[i], b[i]) for i < m, clipped to s_max when clip_out. */
-static inline void box_rows(int32_t m, const int32_t *a, const int32_t *b, int32_t *out,
-                            const int32_t *table, int32_t tmax, int32_t s_max, int clip_out)
+/* table[min(u, tmax)] counts the j in 1..table[0] with u < T_j, where
+ * T_j = min{u : table[u] < j}; at q = 3, T = 22, 13, 9, 5, 3, 1. A row loop
+ * that looks the table up loads one entry per lane, which GCC's generic
+ * tuning does as scalar code; a fixed NTHR compares in place of the load
+ * keep it vectorised, where a count that varies at run time is slower than
+ * the lookup. thresholds() writes T_1 .. T_table[0] to thr and zeros after
+ * them, which count for no u >= 0, and returns thr; it returns NULL for
+ * min-sum and for tables with table[0] > NTHR (q >= 4), which keep the
+ * lookup. */
+#define NTHR 8
+
+static inline const int32_t *thresholds(const int32_t *table, int32_t *thr)
 {
-    if (table) {
+    if (!table || table[0] > NTHR)
+        return NULL;
+    for (int32_t j = 1; j <= NTHR; j++) {
+        int32_t u = 0;
+        if (j <= table[0])
+            while (table[u] >= j)
+                u++;
+        thr[j - 1] = u;
+    }
+    return thr;
+}
+
+/* out[i] = box(a[i], b[i]) for i < m, clipped to s_max when clip_out: the
+ * table rule through the thresholds thr when they are given, adding
+ * corr(|a+b|) - corr(|a-b|) with corr(u) the count of thresholds above u,
+ * else through table, else min-sum. The count runs over all NTHR entries;
+ * its zero pads add nothing, and no threshold exceeds tmax, so no cap. */
+static inline __attribute__((always_inline)) void
+box_rows(int32_t m, const int32_t *a, const int32_t *b, int32_t *out, const int32_t *table,
+         int32_t tmax, const int32_t *thr, int32_t s_max, int clip_out)
+{
+    if (thr) {
+        /* out may be a; each iteration reads a[i] and b[i] before it writes
+         * out[i], so the iterations are independent, which GCC cannot prove */
+#pragma GCC ivdep
+        for (int32_t i = 0; i < m; i++) {
+            int32_t u = iabs32(a[i] + b[i]), w = iabs32(a[i] - b[i]);
+            int32_t v = box_minsum(a[i], b[i]);
+            for (int32_t j = 0; j < NTHR; j++)
+                v += (u < thr[j]) - (w < thr[j]);
+            out[i] = clip_out ? clip32(v, s_max) : v;
+        }
+    } else if (table) {
         /* out may be a, never table: tell GCC so, or it keeps the table
          * lookups scalar for fear a store changes the table */
 #pragma GCC ivdep
@@ -98,9 +149,10 @@ static inline void box_rows(int32_t m, const int32_t *a, const int32_t *b, int32
  * the entry's own message, clipped, or pad on a pad. The sentinel's total
  * is 0. A bit is 1 when its total is negative. acc (m) is scratch. Returns
  * 1 when the bits satisfy every check. */
-static inline int32_t variable_pass(int32_t m, int32_t n, int32_t d, const intptr_t *cols,
-                                    const int32_t *llr, int32_t s_max, int32_t pad,
-                                    const int32_t *c2v, int32_t *v2c, int64_t *tot, int32_t *acc)
+static inline __attribute__((always_inline)) int32_t
+variable_pass(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
+              int32_t s_max, int32_t pad, const int32_t *c2v, int32_t *v2c, int64_t *tot,
+              int32_t *acc)
 {
     int64_t entries = (int64_t)d * m;
     for (int32_t j = 0; j < n; j++)
@@ -130,20 +182,20 @@ static inline int32_t variable_pass(int32_t m, int32_t n, int32_t d, const intpt
  * entries before t, right[t] those after t, both starting from pad, and the
  * message is box(left[t], right[t]), clipped. left is built in c2v; acc (m)
  * carries right from t = d - 1 down to 0. */
-static inline void check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad,
-                              const int32_t *table, int32_t tmax, const int32_t *v2c,
-                              int32_t *c2v, int32_t *acc)
+static inline __attribute__((always_inline)) void
+check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad, const int32_t *table, int32_t tmax,
+           const int32_t *thr, const int32_t *v2c, int32_t *c2v, int32_t *acc)
 {
     for (int32_t i = 0; i < m; i++)
         c2v[i] = acc[i] = pad;
     for (int32_t t = 1; t < d; t++)
         box_rows(m, c2v + (int64_t)(t - 1) * m, v2c + (int64_t)(t - 1) * m,
-                 c2v + (int64_t)t * m, table, tmax, s_max, 0);
+                 c2v + (int64_t)t * m, table, tmax, thr, s_max, 0);
     for (int32_t t = d - 1; t >= 0; t--) {
         int32_t *row = c2v + (int64_t)t * m;
-        box_rows(m, row, acc, row, table, tmax, s_max, 1);
+        box_rows(m, row, acc, row, table, tmax, thr, s_max, 1);
         if (t > 0)
-            box_rows(m, acc, v2c + (int64_t)t * m, acc, table, tmax, s_max, 0);
+            box_rows(m, acc, v2c + (int64_t)t * m, acc, table, tmax, thr, s_max, 0);
     }
 }
 
@@ -162,10 +214,11 @@ bp_loop(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *ll
 {
     int64_t *tot = work;
     int32_t *v2c = (int32_t *)(work + n + 1), *acc = v2c + (int64_t)d * m;
-    int32_t iters = 0;
+    int32_t thr_buf[NTHR], iters = 0;
+    const int32_t *thr = thresholds(table, thr_buf);
     *ok = variable_pass(m, n, d, cols, llr, s_max, pad, c2v, v2c, tot, acc);
     while (!*ok && iters < max_iters) {
-        check_pass(m, d, s_max, pad, table, tmax, v2c, c2v, acc);
+        check_pass(m, d, s_max, pad, table, tmax, thr, v2c, c2v, acc);
         *ok = variable_pass(m, n, d, cols, llr, s_max, pad, c2v, v2c, tot, acc);
         iters++;
     }

@@ -133,7 +133,10 @@ class SweepConfig:
         _check_iters(self.max_local, "max_local")  # the upper bound
         if self.error_frame_target < 1:
             raise ValueError("error_frame_target must be >= 1")
-        self.points = [(float(p), float(d)) for p, d in self.points]
+        try:
+            self.points = [(float(p), float(d)) for p, d in self.points]
+        except OverflowError:  # an integer too large for a float
+            raise ValueError("sweep points must be numbers a float can hold") from None
         for mean_p, delta_p in self.points:
             CorrelationConfig(mean_p=mean_p, delta_p=delta_p)  # reuse its validation
 

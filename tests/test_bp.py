@@ -56,6 +56,19 @@ class TestCorrectionTable:
     def test_length_bound(self, q):
         assert len(sw.make_correction_table(q)) <= 8 * 2**q
 
+    @pytest.mark.parametrize("q", range(7))
+    def test_threshold_count_equals_lookup(self, q):
+        # The compiled check pass counts the thresholds T_j = min{u : table[u] < j},
+        # j = 1 .. table[0], above u in place of the lookup table[min(u, tmax)];
+        # it does so for table[0] <= 8, which holds up to q = 3.
+        table = _table_for(q)
+        tmax = table.size - 1
+        thr = [int(np.argmax(table < j)) for j in range(1, table[0] + 1)]
+        u = np.arange(3 * tmax + 1)
+        count = sum((u < t).astype(np.int32) for t in thr)
+        assert np.array_equal(count, table[np.minimum(u, tmax)])
+        assert (table[0] <= 8) == (q <= 3)
+
     def test_table_kernel_tracks_exact_boxplus(self):
         # Integer box-plus with the correction table must stay within two
         # quantization steps of the exact float rule across a message grid.
@@ -322,7 +335,10 @@ class TestReferenceDecoder:
 class TestBackendsAgree:
     """The compiled loop against the numpy one, field by field."""
 
-    PAIRS = [(3, 10000), (3, 20), (2, 5), (5, 100), (0, 30), (3, sw.S_MAX_LIMIT)]
+    # (1, 10000) and (4, 10000) sit on either side of the compiled loop's
+    # cut-off between threshold counting (table[0] <= 8) and table lookups.
+    PAIRS = [(3, 10000), (3, 20), (2, 5), (5, 100), (0, 30), (3, sw.S_MAX_LIMIT),
+             (1, 10000), (4, 10000)]
 
     @staticmethod
     def _codes():

@@ -242,8 +242,10 @@ class TestSweepCommand:
         {"points": [[0.05, math.nan]]},
         {"ber_target": math.nan},
         {"max_local": 2**31},
+        {"points": [[0.05, 10**400]]},
     ], ids=["point-not-pair", "frames-str", "frames-float", "codes-int", "max-local-null",
-            "seed-float", "top-level-list", "point-nan", "ber-target-nan", "max-local-huge"])
+            "seed-float", "top-level-list", "point-nan", "ber-target-nan", "max-local-huge",
+            "point-huge-int"])
     def test_malformed_config_exits_2_with_one_error_line(self, workdir, capsys, edit):
         cfg = {"codes": ["D1"], "points": [[0.05, 0.0]], "frames": 2}
         doc = {**cfg, **edit} if isinstance(edit, dict) else edit

@@ -2,6 +2,8 @@
 
 import json
 import os
+import platform
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -189,3 +191,22 @@ def test_kernels_compile_without_warnings(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert built.returncode == 0, built.stderr
+
+
+def test_loop_helpers_inlined_into_each_clone(c_backend):
+    # A loop helper that GCC outlines is built once, for the baseline
+    # instruction set, and called from the AVX2 clone too, which then runs
+    # the check pass unvectorised: the helpers must leave no symbol.
+    if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
+        pytest.skip("the AVX2 and baseline clones are built on x86-64 glibc only")
+    if shutil.which("nm"):
+        tool = ["nm"]
+    elif shutil.which("objdump"):
+        tool = ["objdump", "-t"]
+    else:
+        pytest.skip("neither nm nor objdump is on PATH")
+    listing = subprocess.run([*tool, str(_native.library_path())], capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+    names = {line.split()[-1].split(".")[0] for line in listing.splitlines() if line.strip()}
+    assert {"bp_run", "side_info_pass"} <= names
+    assert not {"check_pass", "box_rows", "variable_pass"} & names

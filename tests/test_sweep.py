@@ -46,6 +46,7 @@ class TestSweepConfig:
             dict(codes=["D1"], points=[(0.05, math.nan)], frames=4),
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, ber_target=math.nan),
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, max_local=2**31),
+            dict(codes=["D1"], points=[(0.05, 10**400)], frames=4),
         ],
     )
     def test_invalid_configs(self, kwargs):
