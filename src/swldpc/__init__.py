@@ -21,7 +21,6 @@ from .encoding import compression_rate, encode
 from .bp import (
     DEFAULT_Q,
     DEFAULT_S_MAX,
-    S_MAX_LIMIT,
     DecodeOutcome,
     LlrqVector,
     bp_decode,

@@ -19,10 +19,9 @@
  *
  * The check pass adds the correction table[min(|a +- b|, tmax)] to min-sum
  * without looking the table up: a non-increasing step table's entry at u is
- * the number of its thresholds T_j = min{u : table[u] < j} above u. Tables
- * of up to 8 steps (table[0] <= 8, which holds for q <= 3, the default
- * included) take that count and keep the loop vectorised; larger ones are
- * looked up.
+ * the number of its thresholds T_j = min{u : table[u] < j} above u. The
+ * decoder's one table, bp._TABLE at q = 3, has table[0] = 6 such steps, so
+ * a fixed count of them keeps the row loop vectorised.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -47,8 +46,11 @@
  * first, in increasing column order, and its pads sit on the sentinel column
  * n. Messages use the same layout, so every step of a row scan is one loop
  * over all m rows, whose iterations are independent and which the compiler
- * can vectorise. Message arithmetic stays in int32: bp.LlrqVector bounds
- * s_max so that the pad value and |a +- b| of any two messages fit. */
+ * can vectorise. Message arithmetic stays in int32. The grid is fixed at
+ * s_max = 10000 with table[0] = 6 and tmax = 22, so bp._bp_setup's pad is
+ * 10023 + 6 d_max; a scan value never exceeds the pad in magnitude, and the
+ * pad stays below 2**30, so that |a +- b| of any two values fits, for every
+ * row of fewer than 178 million edges. */
 
 static inline int32_t clip(int64_t v, int32_t s_max)
 {
@@ -73,16 +75,6 @@ static inline int32_t box_minsum(int32_t a, int32_t b)
     return (mag ^ neg) - neg;
 }
 
-/* Min-sum plus table[|a+b|] - table[|a-b|], the indices capped at tmax
- * (table[tmax] = 0). */
-static inline int32_t box_table(int32_t a, int32_t b, const int32_t *table, int32_t tmax)
-{
-    int32_t u = iabs32(a + b), w = iabs32(a - b);
-    u = u < tmax ? u : tmax;
-    w = w < tmax ? w : tmax;
-    return box_minsum(a, b) + table[u] - table[w];
-}
-
 /* table[min(u, tmax)] counts the j in 1..table[0] with u < T_j, where
  * T_j = min{u : table[u] < j}; at q = 3, T = 22, 13, 9, 5, 3, 1. A row loop
  * that looks the table up loads one entry per lane, which GCC's generic
@@ -90,13 +82,12 @@ static inline int32_t box_table(int32_t a, int32_t b, const int32_t *table, int3
  * keep it vectorised, where a count that varies at run time is slower than
  * the lookup. thresholds() writes T_1 .. T_table[0] to thr and zeros after
  * them, which count for no u >= 0, and returns thr; it returns NULL for
- * min-sum and for tables with table[0] > NTHR (q >= 4), which keep the
- * lookup. */
+ * min-sum. The table must have table[0] <= NTHR, as the decoder's has. */
 #define NTHR 8
 
 static inline const int32_t *thresholds(const int32_t *table, int32_t *thr)
 {
-    if (!table || table[0] > NTHR)
+    if (!table)
         return NULL;
     for (int32_t j = 1; j <= NTHR; j++) {
         int32_t u = 0;
@@ -111,11 +102,11 @@ static inline const int32_t *thresholds(const int32_t *table, int32_t *thr)
 /* out[i] = box(a[i], b[i]) for i < m, clipped to s_max when clip_out: the
  * table rule through the thresholds thr when they are given, adding
  * corr(|a+b|) - corr(|a-b|) with corr(u) the count of thresholds above u,
- * else through table, else min-sum. The count runs over all NTHR entries;
- * its zero pads add nothing, and no threshold exceeds tmax, so no cap. */
+ * else min-sum. The count runs over all NTHR entries; its zero pads add
+ * nothing, and no threshold exceeds tmax, so no cap. */
 static inline __attribute__((always_inline)) void
-box_rows(int32_t m, const int32_t *a, const int32_t *b, int32_t *out, const int32_t *table,
-         int32_t tmax, const int32_t *thr, int32_t s_max, int clip_out)
+box_rows(int32_t m, const int32_t *a, const int32_t *b, int32_t *out, const int32_t *thr,
+         int32_t s_max, int clip_out)
 {
     if (thr) {
         /* out may be a; each iteration reads a[i] and b[i] before it writes
@@ -126,14 +117,6 @@ box_rows(int32_t m, const int32_t *a, const int32_t *b, int32_t *out, const int3
             int32_t v = box_minsum(a[i], b[i]);
             for (int32_t j = 0; j < NTHR; j++)
                 v += (u < thr[j]) - (w < thr[j]);
-            out[i] = clip_out ? clip32(v, s_max) : v;
-        }
-    } else if (table) {
-        /* out may be a, never table: tell GCC so, or it keeps the table
-         * lookups scalar for fear a store changes the table */
-#pragma GCC ivdep
-        for (int32_t i = 0; i < m; i++) {
-            int32_t v = box_table(a[i], b[i], table, tmax);
             out[i] = clip_out ? clip32(v, s_max) : v;
         }
     } else {
@@ -183,19 +166,19 @@ variable_pass(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32
  * message is box(left[t], right[t]), clipped. left is built in c2v; acc (m)
  * carries right from t = d - 1 down to 0. */
 static inline __attribute__((always_inline)) void
-check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad, const int32_t *table, int32_t tmax,
-           const int32_t *thr, const int32_t *v2c, int32_t *c2v, int32_t *acc)
+check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad, const int32_t *thr,
+           const int32_t *v2c, int32_t *c2v, int32_t *acc)
 {
     for (int32_t i = 0; i < m; i++)
         c2v[i] = acc[i] = pad;
     for (int32_t t = 1; t < d; t++)
         box_rows(m, c2v + (int64_t)(t - 1) * m, v2c + (int64_t)(t - 1) * m,
-                 c2v + (int64_t)t * m, table, tmax, thr, s_max, 0);
+                 c2v + (int64_t)t * m, thr, s_max, 0);
     for (int32_t t = d - 1; t >= 0; t--) {
         int32_t *row = c2v + (int64_t)t * m;
-        box_rows(m, row, acc, row, table, tmax, thr, s_max, 1);
+        box_rows(m, row, acc, row, thr, s_max, 1);
         if (t > 0)
-            box_rows(m, acc, v2c + (int64_t)t * m, acc, table, tmax, thr, s_max, 0);
+            box_rows(m, acc, v2c + (int64_t)t * m, acc, thr, s_max, 0);
     }
 }
 
@@ -209,8 +192,8 @@ check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad, const int32_t *tabl
  * sign) and *ok; returns the number of rounds run. */
 static inline __attribute__((always_inline)) int32_t
 bp_loop(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
-        int32_t s_max, int32_t pad, const int32_t *table, int32_t tmax, int32_t max_iters,
-        int32_t *c2v, int64_t *work, uint8_t *bits, int32_t *posterior, int32_t *ok)
+        int32_t s_max, int32_t pad, const int32_t *table, int32_t max_iters, int32_t *c2v,
+        int64_t *work, uint8_t *bits, int32_t *posterior, int32_t *ok)
 {
     int64_t *tot = work;
     int32_t *v2c = (int32_t *)(work + n + 1), *acc = v2c + (int64_t)d * m;
@@ -218,7 +201,7 @@ bp_loop(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *ll
     const int32_t *thr = thresholds(table, thr_buf);
     *ok = variable_pass(m, n, d, cols, llr, s_max, pad, c2v, v2c, tot, acc);
     while (!*ok && iters < max_iters) {
-        check_pass(m, d, s_max, pad, table, tmax, thr, v2c, c2v, acc);
+        check_pass(m, d, s_max, pad, thr, v2c, c2v, acc);
         *ok = variable_pass(m, n, d, cols, llr, s_max, pad, c2v, v2c, tot, acc);
         iters++;
     }
@@ -236,12 +219,11 @@ bp_loop(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *ll
  * d m + m int32 values. */
 VECTOR_CLONES
 int32_t bp_run(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
-               int32_t s_max, int32_t pad, const int32_t *table, int32_t tmax,
-               int32_t max_iters, int32_t *c2v, int64_t *work, uint8_t *bits,
-               int32_t *posterior, int32_t *ok)
+               int32_t s_max, int32_t pad, const int32_t *table, int32_t max_iters,
+               int32_t *c2v, int64_t *work, uint8_t *bits, int32_t *posterior, int32_t *ok)
 {
-    return bp_loop(m, n, d, cols, llr, s_max, pad, table, tmax, max_iters, c2v, work, bits,
-                   posterior, ok);
+    return bp_loop(m, n, d, cols, llr, s_max, pad, table, max_iters, c2v, work, bits, posterior,
+                   ok);
 }
 
 /* One pass of the side-information decoder on a code with k systematic
@@ -255,17 +237,17 @@ int32_t bp_run(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int3
 VECTOR_CLONES
 int32_t side_info_pass(int32_t m, int32_t n, int32_t k, int32_t d, const intptr_t *cols,
                        const uint8_t *y, const uint8_t *z, int32_t s_max, int32_t pad,
-                       const int32_t *table, int32_t tmax, int32_t *c2v, int64_t *work,
-                       uint8_t *bits, int32_t *posterior, int32_t *stats, int32_t level1,
-                       int32_t level0, int32_t max_iters)
+                       const int32_t *table, int32_t *c2v, int64_t *work, uint8_t *bits,
+                       int32_t *posterior, int32_t *stats, int32_t level1, int32_t level0,
+                       int32_t max_iters)
 {
     int32_t *llr = (int32_t *)(work + n + 1) + (int64_t)d * m + m;
     for (int32_t j = 0; j < k; j++)
         llr[j] = y[j] ? level1 : level0;
     for (int32_t j = k; j < n; j++)
         llr[j] = z[j - k] ? s_max : -s_max;
-    int32_t iters = bp_loop(m, n, d, cols, llr, s_max, pad, table, tmax, max_iters, c2v, work,
-                            bits, posterior, &stats[0]);
+    int32_t iters = bp_loop(m, n, d, cols, llr, s_max, pad, table, max_iters, c2v, work, bits,
+                            posterior, &stats[0]);
     int32_t same = 1, differ = 0;
     for (int32_t j = k; j < n; j++)
         same &= bits[j] == z[j - k];

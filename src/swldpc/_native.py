@@ -43,9 +43,9 @@ _lock = threading.Lock()
 _P = ctypes.c_void_p
 _I = ctypes.c_int32
 _SIGNATURES = {  # name: (return type, argument types)
-    "bp_run": (_I, [_I, _I, _I, _P, _P, _I, _I, _P, _I, _I, _P, _P, _P, _P, _P]),
+    "bp_run": (_I, [_I, _I, _I, _P, _P, _I, _I, _P, _I, _P, _P, _P, _P, _P]),
     "side_info_pass": (
-        _I, [_I, _I, _I, _I, _P, _P, _P, _I, _I, _P, _I, _P, _P, _P, _P, _P, _I, _I, _I]
+        _I, [_I, _I, _I, _I, _P, _P, _P, _I, _I, _P, _P, _P, _P, _P, _P, _I, _I, _I]
     ),
     "encode_run": (None, [_I, _I, _I, _P, _P, _P]),
     "peg_place": (_I, [_I, _I, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P]),
@@ -137,8 +137,8 @@ def bp_run(dll, layout, llr, s_max, pad, table, max_iters, c2v, bits, posterior)
     ok = ctypes.c_int32()
     iters = dll.bp_run(
         m, n, d, _ptr(layout.cols), _ptr(llr), s_max, pad,
-        None if table is None else _ptr(table), 0 if table is None else table.size - 1,
-        max_iters, _ptr(c2v), _ptr(work), _ptr(bits), _ptr(posterior), ctypes.byref(ok),
+        None if table is None else _ptr(table), max_iters, _ptr(c2v), _ptr(work), _ptr(bits),
+        _ptr(posterior), ctypes.byref(ok),
     )
     return iters, bool(ok.value)
 
@@ -165,8 +165,8 @@ class SideInfoPass:
         self._fn = dll.side_info_pass
         self._args = (
             m, n, k, d, _ptr(layout.cols), _ptr(y), _ptr(z), s_max, pad,
-            None if table is None else _ptr(table), 0 if table is None else table.size - 1,
-            _ptr(c2v), _ptr(self._work), _ptr(bits), _ptr(posterior), _ptr(self._stats),
+            None if table is None else _ptr(table), _ptr(c2v), _ptr(self._work), _ptr(bits),
+            _ptr(posterior), _ptr(self._stats),
         )
 
     def __call__(self, level1, level0, max_iters):

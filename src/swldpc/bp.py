@@ -1,7 +1,8 @@
 """Integer-metric belief propagation over the full staircase Tanner graph.
 
-Log-likelihood ratios are quantized to integers scaled by 2**q and clipped
-to +-s_max; the convention for stored values is that positive favors bit 1.
+Log-likelihood ratios are quantized to integers on one fixed grid, scaled
+by 2**DEFAULT_Q and clipped to +-DEFAULT_S_MAX; the convention for stored
+values is that positive favors bit 1.
 Internally the decoder negates everything so that the textbook check-node
 rule applies without degree-dependent sign flips. The check-node kernel is
 selectable: an exact pairwise reduction with a small integer correction
@@ -32,7 +33,6 @@ from .encoding import as_bit_array
 __all__ = [
     "DEFAULT_Q",
     "DEFAULT_S_MAX",
-    "S_MAX_LIMIT",
     "LlrqVector",
     "DecodeOutcome",
     "quantize_llr",
@@ -44,7 +44,6 @@ __all__ = [
 
 DEFAULT_Q = 3
 DEFAULT_S_MAX = 10000
-S_MAX_LIMIT = 2**29
 _ITERS_LIMIT = 2**31 - 1  # the compiled loop counts rounds in an int32
 
 KERNELS = ("table", "minsum")
@@ -52,24 +51,18 @@ KERNELS = ("table", "minsum")
 
 @dataclass
 class LlrqVector:
-    """Quantized LLRs for all n bits: scaled by 2**q, magnitudes <= s_max.
-
-    s_max may not exceed S_MAX_LIMIT = 2**29: the decoder keeps messages,
-    its pad value and the sum or difference of two messages in int32.
-    """
+    """Quantized LLRs for all n bits: scaled by 2**DEFAULT_Q, magnitudes
+    <= DEFAULT_S_MAX."""
 
     values: np.ndarray
-    q: int = DEFAULT_Q
-    s_max: int = DEFAULT_S_MAX
     k: int | None = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.int32)
         if self.values.ndim != 1:
             raise ValueError("LLR vector must be one-dimensional")
-        _check_scale(self.q, self.s_max)
-        if _magnitude(self.values) > self.s_max:
-            raise ValueError(f"LLR magnitudes must not exceed s_max={self.s_max}")
+        if _magnitude(self.values) > DEFAULT_S_MAX:
+            raise ValueError(f"LLR magnitudes must not exceed s_max={DEFAULT_S_MAX}")
 
 
 @dataclass
@@ -91,11 +84,6 @@ class DecodeOutcome:
     c2v: np.ndarray | None = None
 
 
-def _check_scale(q: int, s_max: int) -> None:
-    if not 0 < s_max <= S_MAX_LIMIT or q < 0:
-        raise ValueError(f"need 0 < s_max <= {S_MAX_LIMIT} and q >= 0, got {s_max}, {q}")
-
-
 def _magnitude(values: np.ndarray) -> int:
     """Largest |value| of an int32 array, 0 when it is empty."""
     return max(-int(values.min()), int(values.max())) if values.size else 0
@@ -107,9 +95,6 @@ def quantize_llr(l: float, q: int = DEFAULT_Q, s_max: int = DEFAULT_S_MAX) -> in
         raise ValueError(f"LLR must be finite, got {l}")
     v = math.floor(2**q * l + 0.5)
     return max(-s_max, min(s_max, v))
-
-
-_TABLES: dict = {}
 
 
 def make_correction_table(q: int) -> np.ndarray:
@@ -131,25 +116,17 @@ def make_correction_table(q: int) -> np.ndarray:
     return table
 
 
-def _table_for(q: int) -> np.ndarray:
-    if q not in _TABLES:
-        # one trailing zero so clipped lookups land on "no correction"
-        _TABLES[q] = np.concatenate([make_correction_table(q), [0]]).astype(np.int32)
-    return _TABLES[q]
+# the decoder's table, with one trailing zero so clipped lookups land on
+# "no correction"
+_TABLE = np.append(make_correction_table(DEFAULT_Q), np.int32(0))
 
 
-def init_from_side_info(
-    y,
-    z,
-    alpha: float,
-    q: int = DEFAULT_Q,
-    s_max: int = DEFAULT_S_MAX,
-) -> LlrqVector:
+def init_from_side_info(y, z, alpha: float) -> LlrqVector:
     """Build the decoder's starting LLRs from side information and parity.
 
     Systematic positions get the quantized LLR (2*y - 1) * |alpha|, so the
     favored value is always y itself; parity positions are known exactly and
-    saturate to (2*z - 1) * s_max.
+    saturate to (2*z - 1) * DEFAULT_S_MAX.
     """
     y = as_bit_array(y, np.asarray(y).size, "side information")
     z = as_bit_array(z, np.asarray(z).size, "parity block")
@@ -157,9 +134,9 @@ def init_from_side_info(
         raise ValueError(f"alpha must be finite, got {alpha}")
     values = np.empty(y.size + z.size, dtype=np.int32)
     a = abs(alpha)
-    values[: y.size] = np.where(y, quantize_llr(a, q, s_max), quantize_llr(-a, q, s_max))
-    values[y.size :] = np.where(z, s_max, -s_max)
-    return LlrqVector(values, q=q, s_max=s_max, k=int(y.size))
+    values[: y.size] = np.where(y, quantize_llr(a), quantize_llr(-a))
+    values[y.size :] = np.where(z, DEFAULT_S_MAX, -DEFAULT_S_MAX)
+    return LlrqVector(values, k=int(y.size))
 
 
 def hard_syndrome(h: SparseParityMatrix, bits) -> np.ndarray:
@@ -180,23 +157,21 @@ def _box_minsum(a, b):
     return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
 
 
-def _bp_setup(h: SparseParityMatrix, q: int, s_max: int, kernel: str):
-    """What a BP run on h at scale q and clip s_max needs besides its
-    channel values: the layout, the pad value, the correction table (None for
-    min-sum), zeroed padded messages and empty hard-bit and posterior
-    buffers."""
+def _bp_setup(h: SparseParityMatrix, kernel: str):
+    """What a BP run on h needs besides its channel values: the layout, the
+    pad value, the correction table (None for min-sum), zeroed padded
+    messages and empty hard-bit and posterior buffers."""
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     lay = h.decode_plan()
-    table = _table_for(q)
     # Pads hold a box-plus identity P: box(x, P) == x for every x a scan can
     # hold. Reductions of real messages stay within X = max(s_max, table[0]);
     # P >= X + tmax + 1 keeps |x +- P| > tmax, where no correction applies,
     # also after a row's pads are reduced with each other, which lowers P by
-    # at most table[0] per step.
-    tmax = table.size - 1
-    pad = max(s_max, int(table[0])) + tmax + 1 + lay.cols.shape[0] * int(table[0])
-    return (lay, pad, table if kernel == "table" else None,
+    # at most table[0] per step. On the fixed grid P = 10023 + 6 d_max.
+    tmax = _TABLE.size - 1
+    pad = max(DEFAULT_S_MAX, int(_TABLE[0])) + tmax + 1 + lay.cols.shape[0] * int(_TABLE[0])
+    return (lay, pad, _TABLE if kernel == "table" else None,
             np.zeros(lay.cols.shape, dtype=np.int32),
             np.empty(h.n_cols, dtype=np.uint8), np.empty(h.n_cols, dtype=np.int32))
 
@@ -219,8 +194,8 @@ def bp_decode(
     decisions are bit = 1 iff the posterior is positive (ties resolve to 0).
     The run stops as soon as the hard decisions satisfy every check, so a
     clean starting point reports zero iterations. All messages stay within
-    [-s_max, s_max]. max_local_iters caps the rounds and must lie in
-    [0, 2**31 - 1].
+    [-DEFAULT_S_MAX, DEFAULT_S_MAX]. max_local_iters caps the rounds and
+    must lie in [0, 2**31 - 1].
 
     c2v, the messages of an earlier run on the same code (DecodeOutcome.c2v),
     warm-starts the run: the bit nodes are first updated from those messages
@@ -232,26 +207,25 @@ def bp_decode(
     numpy otherwise; both give the same outcome bit for bit.
     """
     _check_iters(max_local_iters, "max_local_iters")
-    s_max = init.s_max
-    lay, pad, table, padded, bits, post = _bp_setup(h, init.q, s_max, kernel)
+    lay, pad, table, padded, bits, post = _bp_setup(h, kernel)
     if init.values.size != h.n_cols:
         raise ValueError(f"init has {init.values.size} values for n={h.n_cols}")
     if c2v is not None:
         c2v = np.ascontiguousarray(c2v, dtype=np.int32)
         if c2v.shape != (lay.edges,):
             raise ValueError(f"c2v has shape {c2v.shape} for {lay.edges} edges")
-        if _magnitude(c2v) > s_max:
-            raise ValueError(f"c2v magnitudes must not exceed s_max={s_max}")
+        if _magnitude(c2v) > DEFAULT_S_MAX:
+            raise ValueError(f"c2v magnitudes must not exceed s_max={DEFAULT_S_MAX}")
         padded.T[lay.valid.T] = c2v  # row-major edges outside
 
     dll = _native.lib()
     run = _bp_loop if dll is None else functools.partial(_native.bp_run, dll)
     # _native takes the addresses of writable buffers only
     llr = np.require(init.values, np.int32, "CW")
-    iterations, ok = run(lay, llr, s_max, pad, table, max_local_iters, padded, bits, post)
+    iterations, ok = run(lay, llr, DEFAULT_S_MAX, pad, table, max_local_iters, padded, bits, post)
     return DecodeOutcome(
         hard_bits=bits,
-        posterior=LlrqVector(post, q=init.q, s_max=s_max, k=init.k),
+        posterior=LlrqVector(post, k=init.k),
         iterations_used=iterations,
         syndrome_ok=ok,
         c2v=padded.T[lay.valid.T],
@@ -281,11 +255,10 @@ class SideInfoFrame:
     """
 
     def __init__(self, h: SparseParityMatrix, y: np.ndarray, z: np.ndarray,
-                 kernel: str = "table", q: int = DEFAULT_Q, s_max: int = DEFAULT_S_MAX):
-        _check_scale(q, s_max)
-        self.q, self.s_max = q, s_max
-        lay, pad, table, self.c2v, self.hard_bits, self.posterior = _bp_setup(h, q, s_max, kernel)
-        args = (lay, h.k, y, z, s_max, pad, table, self.c2v, self.hard_bits, self.posterior)
+                 kernel: str = "table"):
+        lay, pad, table, self.c2v, self.hard_bits, self.posterior = _bp_setup(h, kernel)
+        args = (lay, h.k, y, z, DEFAULT_S_MAX, pad, table, self.c2v, self.hard_bits,
+                self.posterior)
         dll = _native.lib()
         self.run = (
             functools.partial(_pass_numpy, *args) if dll is None
@@ -298,14 +271,13 @@ def side_info_pass(frame: SideInfoFrame, alpha: float, max_iters: int) -> PassOu
 
     The systematic channel values are those of init_from_side_info: the
     quantized LLR (2*y - 1) * |alpha|; the parity bits saturate to
-    (2*z - 1) * s_max. The pass runs at most max_iters rounds, which must
-    lie in [0, 2**31 - 1] (not checked here), continuing from the frame's
-    messages, and leaves its hard decisions and posterior in the frame.
+    (2*z - 1) * DEFAULT_S_MAX. The pass runs at most max_iters rounds, which
+    must lie in [0, 2**31 - 1] (not checked here), continuing from the
+    frame's messages, and leaves its hard decisions and posterior in the
+    frame.
     """
     a = abs(alpha)
-    return PassOutcome(*frame.run(
-        quantize_llr(a, frame.q, frame.s_max), quantize_llr(-a, frame.q, frame.s_max), max_iters
-    ))
+    return PassOutcome(*frame.run(quantize_llr(a), quantize_llr(-a), max_iters))
 
 
 def _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v, bits, posterior):

@@ -60,11 +60,10 @@ def _read_bit_frames(path: str, bits_per_frame: int, fmt: str) -> np.ndarray:
 
 def _write_bit_frames(path: str, frames: np.ndarray, fmt: str) -> None:
     packed = np.packbits(frames.astype(np.uint8), axis=1)
-    raw = packed.tobytes()
     if fmt == "hex":
-        Path(path).write_text(raw.hex())
+        Path(path).write_text("".join(row.tobytes().hex() + "\n" for row in packed))
     else:
-        Path(path).write_bytes(raw)
+        Path(path).write_bytes(packed.tobytes())
 
 
 # -- subcommands --------------------------------------------------------------
@@ -269,7 +268,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # parse and construction errors are ValueErrors
+    except (ValueError, OSError, MemoryError) as exc:
+        # parse and construction errors are ValueErrors; a size that cannot
+        # be allocated is a MemoryError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from .bp import (
     DEFAULT_Q,
-    DEFAULT_S_MAX,
     LlrqVector,
     SideInfoFrame,
     _check_iters,
@@ -111,14 +110,15 @@ def estimate_alpha_posterior(posterior: LlrqVector, y) -> CorrelationState:
     """Expected correlation between the source and y under a BP posterior.
 
     The expected disagreement count w = sum_i P(x_i != y_i) is read from the
-    first y.size posterior LLRs (positive favors bit 1, scaled by 2**q). As
-    in estimate_alpha, w is clamped to [1, k-1] and alpha = log(w) - log(k - w).
+    first y.size posterior LLRs (positive favors bit 1, scaled by
+    2**DEFAULT_Q). As in estimate_alpha, w is clamped to [1, k-1] and
+    alpha = log(w) - log(k - w).
     """
     y = as_bit_array(y, np.asarray(y).size, "side information")
     _check_two_bits(y.size)
     if posterior.values.size < y.size:
         raise ValueError(f"posterior has {posterior.values.size} values for k={y.size}")
-    return _posterior_estimate(posterior.values, posterior.q, y)
+    return _posterior_estimate(posterior.values, y)
 
 
 def _check_two_bits(k: int) -> None:
@@ -131,11 +131,11 @@ def _log_odds(w, k: int) -> CorrelationState:
     return CorrelationState(alpha=math.log(w) - math.log(k - w), p_hat=w / k)
 
 
-def _posterior_estimate(values: np.ndarray, q: int, y: np.ndarray) -> CorrelationState:
-    """estimate_alpha_posterior on posterior LLRs values at scale q and a
-    checked 0/1 array y of length k >= 2, at most len(values)."""
+def _posterior_estimate(values: np.ndarray, y: np.ndarray) -> CorrelationState:
+    """estimate_alpha_posterior on posterior LLRs values and a checked 0/1
+    array y of length k >= 2, at most len(values)."""
     k = y.size
-    llr = values[:k] / float(2**q)
+    llr = values[:k] / float(2**DEFAULT_Q)
     # P(x_i != y_i) = 1 / (1 + exp(+-llr)), written with tanh to stay finite
     return _log_odds(float(np.sum(0.5 - 0.5 * np.tanh(0.5 * (2.0 * y - 1.0) * llr))), k)
 
@@ -148,8 +148,6 @@ def joint_decode(
     max_global: int = 5,
     max_local: int = 50,
     kernel: str = "table",
-    q: int = DEFAULT_Q,
-    s_max: int = DEFAULT_S_MAX,
 ) -> JointDecodeResult:
     """Decode the source bits from parity z and side information y.
 
@@ -175,7 +173,7 @@ def joint_decode(
         raise ValueError(f"max_global must be >= 1, got {max_global}")
     _check_iters(max_local, "max_local")
     alpha = initial_alpha(design_p)
-    frame = SideInfoFrame(h, y, z, kernel, q, s_max)
+    frame = SideInfoFrame(h, y, z, kernel)
 
     trace: list[GlobalIterationRecord] = []
     local_total = 0
@@ -186,7 +184,7 @@ def joint_decode(
         if decoded:
             est = _log_odds(out.disagreements, h.k)
         else:
-            est = _posterior_estimate(frame.posterior, q, y)
+            est = _posterior_estimate(frame.posterior, y)
         trace.append(
             GlobalIterationRecord(
                 index=i, alpha=est.alpha, p_hat=est.p_hat, syndrome_ok=out.syndrome_ok
@@ -212,8 +210,6 @@ def non_iterative_decode(
     design_p: float,
     max_local: int = 50,
     kernel: str = "table",
-    q: int = DEFAULT_Q,
-    s_max: int = DEFAULT_S_MAX,
 ) -> JointDecodeResult:
     """Single-shot baseline: one decode at the design log-odds, no tracking.
 
@@ -226,7 +222,7 @@ def non_iterative_decode(
     y = as_bit_array(y, h.k, "side information")
     _check_two_bits(h.k)
     _check_iters(max_local, "max_local")
-    frame = SideInfoFrame(h, y, z, kernel, q, s_max)
+    frame = SideInfoFrame(h, y, z, kernel)
     out = side_info_pass(frame, initial_alpha(design_p), max_local)
     est = _log_odds(out.disagreements, h.k)
     record = GlobalIterationRecord(

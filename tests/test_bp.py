@@ -8,7 +8,15 @@ import pytest
 
 import swldpc as sw
 from swldpc import _native
-from swldpc.bp import SideInfoFrame, _box_table, _table_for, side_info_pass
+from swldpc.bp import (
+    DEFAULT_S_MAX,
+    SideInfoFrame,
+    _TABLE,
+    _box_minsum,
+    _box_table,
+    _bp_setup,
+    side_info_pass,
+)
 from oracles import bp_ref, boxplus_ref, correction_table_ref, gf2_syndrome, quantize_ref
 
 
@@ -56,24 +64,22 @@ class TestCorrectionTable:
     def test_length_bound(self, q):
         assert len(sw.make_correction_table(q)) <= 8 * 2**q
 
-    @pytest.mark.parametrize("q", range(7))
-    def test_threshold_count_equals_lookup(self, q):
+    def test_threshold_count_equals_lookup(self):
         # The compiled check pass counts the thresholds T_j = min{u : table[u] < j},
         # j = 1 .. table[0], above u in place of the lookup table[min(u, tmax)];
-        # it does so for table[0] <= 8, which holds up to q = 3.
-        table = _table_for(q)
+        # it counts a fixed 8 of them, so the decoder's table may have no more.
+        table = _TABLE
         tmax = table.size - 1
+        assert table[0] <= 8
         thr = [int(np.argmax(table < j)) for j in range(1, table[0] + 1)]
         u = np.arange(3 * tmax + 1)
         count = sum((u < t).astype(np.int32) for t in thr)
         assert np.array_equal(count, table[np.minimum(u, tmax)])
-        assert (table[0] <= 8) == (q <= 3)
 
     def test_table_kernel_tracks_exact_boxplus(self):
         # Integer box-plus with the correction table must stay within two
         # quantization steps of the exact float rule across a message grid.
-        q = 3
-        table = _table_for(q)
+        table = _TABLE
         tmax = len(table) - 1
         grid = np.arange(-64, 65, 3, dtype=np.int64)
         a, b = np.meshgrid(grid, grid)
@@ -88,29 +94,11 @@ class TestCorrectionTable:
 class TestLlrqVector:
     def test_validation(self):
         with pytest.raises(ValueError):
-            sw.LlrqVector(values=np.array([[1, 2]]), q=3, s_max=10, k=1)
-        with pytest.raises(ValueError):
-            sw.LlrqVector(values=np.array([11]), q=3, s_max=10, k=0)
-        with pytest.raises(ValueError):
-            sw.LlrqVector(values=np.array([1]), q=-1, s_max=10, k=0)
-
-    def test_s_max_bound(self):
-        assert sw.S_MAX_LIMIT == 2**29
-        sw.LlrqVector(values=np.array([-(2**29), 2**29]), q=3, s_max=2**29, k=1)
-        for s_max in (2**29 + 1, 2**30, 2**31 - 1, 2**40):
+            sw.LlrqVector(values=np.array([[1, 2]]), k=1)
+        sw.LlrqVector(values=np.array([-10000, 10000]), k=1)
+        for bad in (10001, -10001):
             with pytest.raises(ValueError, match="s_max"):
-                sw.LlrqVector(values=np.array([1]), q=3, s_max=s_max, k=0)
-
-    @pytest.mark.parametrize("s_max", [2**29 + 1, 2**30, 2**31 - 1])
-    def test_s_max_above_bound_rejected(self, backend, toy_code, s_max):
-        # Past the bound the numpy code's pad and |a +- b| would leave int32.
-        _, y, z = _noisy_frame(toy_code, 0.05, 1)
-        with pytest.raises(ValueError, match="s_max"):
-            sw.init_from_side_info(y, z, -2.9, s_max=s_max)
-        with pytest.raises(ValueError, match="s_max"):
-            sw.joint_decode(toy_code, z, y, 0.05, s_max=s_max)
-        with pytest.raises(ValueError, match="s_max"):
-            sw.non_iterative_decode(toy_code, z, y, 0.05, s_max=s_max)
+                sw.LlrqVector(values=np.array([0, bad]), k=1)
 
     def test_init_from_side_info_fields(self, small_code):
         k, m = small_code.k, small_code.n_rows
@@ -120,7 +108,7 @@ class TestLlrqVector:
         z[0] = 1
         alpha = math.log(0.05 / 0.95)  # -2.9444
         init = sw.init_from_side_info(y, z, alpha)
-        assert init.q == 3 and init.s_max == 10000 and init.k == k
+        assert init.k == k
         assert init.values.shape == (k + m,)
         # Systematic magnitudes: floor(8 * 2.9444 + 0.5) = 24, sign from y.
         assert init.values[0] == -24
@@ -300,30 +288,47 @@ def _assert_same_outcome(got, want):
     for a, b in ((got.hard_bits, want.hard_bits), (got.c2v, want.c2v),
                  (got.posterior.values, want.posterior.values)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    post_a, post_b = got.posterior, want.posterior
-    assert (post_a.q, post_a.s_max, post_a.k) == (post_b.q, post_b.s_max, post_b.k)
+    assert got.posterior.k == want.posterior.k
+
+
+def _one_row_code(d):
+    """A code of one check on d columns, so that its padded layout has d_max = d."""
+    return sw.SparseParityMatrix(n_rows=1, n_cols=d, k=d - 1, rows=[list(range(d))])
+
+
+@pytest.mark.parametrize("kernel", ["table", "minsum"])
+def test_pad_is_a_boxplus_identity(kernel):
+    # A scan reduces a row's pads with each other: left and right start at the
+    # pad and take in a further pad at each of a row's up to d_max - 1 pad
+    # positions. Each of those values must leave every message unchanged.
+    box = (_box_minsum if kernel == "minsum"
+           else lambda a, b: _box_table(a, b, _TABLE, _TABLE.size - 1))
+    x = np.arange(-DEFAULT_S_MAX, DEFAULT_S_MAX + 1, dtype=np.int32)
+    for d_max in range(1, 31):
+        _, pad, *_ = _bp_setup(_one_row_code(d_max), kernel)
+        pads = np.full_like(x, pad)
+        acc = pads
+        for _ in range(d_max):
+            assert np.array_equal(box(x, acc), x) and np.array_equal(box(acc, x), x), d_max
+            acc = box(acc, pads)
 
 
 class TestReferenceDecoder:
-    """bp_decode against the unpadded, row-by-row decoder of oracles.py, also
-    on grids where the correction table is longer than s_max, so that a pad
-    value that is not a box-plus identity would show."""
+    """bp_decode against the unpadded, row-by-row decoder of oracles.py."""
 
-    @pytest.mark.parametrize("q,s_max", [(3, 20), (4, 40), (5, 30), (5, 100), (2, 5), (3, 10000)])
     @pytest.mark.parametrize("kernel", ["table", "minsum"])
-    def test_matches_reference(self, backend, toy_code, small_code, ragged_code, kernel, q,
-                               s_max):
-        table = correction_table_ref(q) if kernel == "table" else None
+    def test_matches_reference(self, backend, toy_code, small_code, ragged_code, kernel):
+        table = correction_table_ref(3) if kernel == "table" else None
         cases = [(toy_code, 6), (small_code, 2), (_one_edge_row_code(), 4), (ragged_code, 2)]
         for h, frames in cases:
             for seed in range(frames):
                 _, y, z = _noisy_frame(h, 0.08, seed)
                 start = None  # a cold run, then one warm from its messages at another alpha
                 for p in (0.08, 0.03):
-                    init = sw.init_from_side_info(y, z, math.log(p / (1 - p)), q=q, s_max=s_max)
+                    init = sw.init_from_side_info(y, z, math.log(p / (1 - p)))
                     out = sw.bp_decode(h, init, max_local_iters=12, kernel=kernel, c2v=start)
                     bits, rounds, ok, post, c2v = bp_ref(
-                        h.rows, init.values, s_max, table, 12, c2v=start
+                        h.rows, init.values, DEFAULT_S_MAX, table, 12, c2v=start
                     )
                     assert out.iterations_used == rounds and out.syndrome_ok == ok
                     assert out.hard_bits.tolist() == bits
@@ -334,11 +339,6 @@ class TestReferenceDecoder:
 
 class TestBackendsAgree:
     """The compiled loop against the numpy one, field by field."""
-
-    # (1, 10000) and (4, 10000) sit on either side of the compiled loop's
-    # cut-off between threshold counting (table[0] <= 8) and table lookups.
-    PAIRS = [(3, 10000), (3, 20), (2, 5), (5, 100), (0, 30), (3, sw.S_MAX_LIMIT),
-             (1, 10000), (4, 10000)]
 
     @staticmethod
     def _codes():
@@ -357,11 +357,10 @@ class TestBackendsAgree:
         # Cold runs and runs warm-started from their messages.
         for c, h in enumerate(self._codes()):
             for f in range(3):
-                q, s_max = self.PAIRS[(c + f) % len(self.PAIRS)]
                 p = 0.03 + 0.04 * f
                 _, y, z = _noisy_frame(h, p, [c, f])
-                cold_init = sw.init_from_side_info(y, z, math.log(0.05 / 0.95), q, s_max)
-                warm_init = sw.init_from_side_info(y, z, math.log(p / (1 - p)), q, s_max)
+                cold_init = sw.init_from_side_info(y, z, math.log(0.05 / 0.95))
+                warm_init = sw.init_from_side_info(y, z, math.log(p / (1 - p)))
                 for kernel in ("table", "minsum"):
                     for iters in (0, 1, 2, 7, 50):
                         runs = []
@@ -381,7 +380,6 @@ class TestBackendsAgree:
         for c, h in enumerate(self._codes()):
             lay = h.decode_plan()
             for f in range(3):
-                q, s_max = self.PAIRS[(c + f) % len(self.PAIRS)]
                 p = 0.03 + 0.04 * f
                 _, y, z = _noisy_frame(h, p, [c, f, 1])
                 if f > 0:  # a corrupted parity block, which BP may overrule
@@ -391,7 +389,7 @@ class TestBackendsAgree:
                     for lib in (c_backend, None):  # None: the numpy code
                         with monkeypatch.context() as mp:
                             mp.setattr(_native, "_lib", lib)
-                            frame = SideInfoFrame(h, y, z, kernel, q, s_max)
+                            frame = SideInfoFrame(h, y, z, kernel)
                         passes = []
                         for alpha, iters in ((-2.9, 2), (math.log(p / (1 - p)), 7), (-0.4, 0)):
                             out = side_info_pass(frame, alpha, iters)

@@ -166,7 +166,11 @@ class TestEncodeDecode:
                    "--side-info", "y.hex", "--out", "xhat.hex",
                    "--format", "hex"])
         assert rc == 0
-        hex_lines = (workdir / "xhat.hex").read_text().split()
+        text = (workdir / "xhat.hex").read_text()
+        assert text.endswith("\n")
+        hex_lines = text.splitlines()
+        assert len(hex_lines) == len(lines)
+        assert all(len(h) == 2 * frame_bytes for h in hex_lines)
         packed = b"".join(bytes.fromhex(h) for h in hex_lines)
         assert packed == xp.read_bytes()
 
@@ -272,3 +276,15 @@ class TestArgumentErrors:
         rc = main(["encode", "--code", "nope.alist", "--in", "x.bin",
                    "--out", "p.swz"])
         assert rc == 2
+
+    @pytest.mark.parametrize("cmd", [
+        ["simulate", "--k", str(2**58), "--mean-p", "0.1", "--frames", "2", "-o", "x"],
+        ["design", "--k", str(2**58), "--n", str(2**59), "--dv", "3", "--design-p", "0.1",
+         "-o", "y.alist"],
+    ])
+    def test_oversized_k_exits_2_with_one_error_line(self, workdir, capsys, cmd):
+        # No 64-bit host can map 2**58 bytes, so the first array fails at once.
+        rc = main(cmd)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
