@@ -9,6 +9,7 @@ import pytest
 import swldpc as sw
 from swldpc import _native
 from swldpc.bp import (
+    DEFAULT_Q,
     DEFAULT_S_MAX,
     SideInfoFrame,
     _TABLE,
@@ -64,13 +65,19 @@ class TestCorrectionTable:
     def test_length_bound(self, q):
         assert len(sw.make_correction_table(q)) <= 8 * 2**q
 
-    def test_threshold_count_equals_lookup(self):
+    @pytest.mark.parametrize("q", range(7))
+    def test_threshold_count_equals_lookup(self, q):
         # The compiled check pass counts the thresholds T_j = min{u : table[u] < j},
-        # j = 1 .. table[0], above u in place of the lookup table[min(u, tmax)];
-        # it counts a fixed 8 of them, so the decoder's table may have no more.
-        table = _TABLE
+        # j = 1 .. table[0], above u in place of the lookup table[min(u, tmax)].
+        # The identity holds for every table of the family; the pass counts a
+        # fixed 8 thresholds, which only tables up to q = 3 stay within, and the
+        # decoder's own table is the q = DEFAULT_Q one. Tables carry the
+        # decoder's trailing zero, so that clipped lookups find no correction.
+        table = np.append(sw.make_correction_table(q), np.int32(0))
+        if q == DEFAULT_Q:
+            assert np.array_equal(table, _TABLE) and table[0] <= 8
+        assert (table[0] <= 8) == (q <= 3)
         tmax = table.size - 1
-        assert table[0] <= 8
         thr = [int(np.argmax(table < j)) for j in range(1, table[0] + 1)]
         u = np.arange(3 * tmax + 1)
         count = sum((u < t).astype(np.int32) for t in thr)
@@ -313,12 +320,17 @@ def test_pad_is_a_boxplus_identity(kernel):
             acc = box(acc, pads)
 
 
+def _on_grid(kernel):
+    """A test id naming the kernel and the decoder's fixed grid, as kernel-q-s_max."""
+    return f"{kernel}-{DEFAULT_Q}-{DEFAULT_S_MAX}"
+
+
 class TestReferenceDecoder:
     """bp_decode against the unpadded, row-by-row decoder of oracles.py."""
 
-    @pytest.mark.parametrize("kernel", ["table", "minsum"])
+    @pytest.mark.parametrize("kernel", ["table", "minsum"], ids=_on_grid)
     def test_matches_reference(self, backend, toy_code, small_code, ragged_code, kernel):
-        table = correction_table_ref(3) if kernel == "table" else None
+        table = correction_table_ref(DEFAULT_Q) if kernel == "table" else None
         cases = [(toy_code, 6), (small_code, 2), (_one_edge_row_code(), 4), (ragged_code, 2)]
         for h, frames in cases:
             for seed in range(frames):

@@ -8,6 +8,7 @@ import pytest
 
 import swldpc as sw
 from swldpc import _native
+from swldpc.bp import DEFAULT_Q, DEFAULT_S_MAX
 from oracles import alpha_ref
 
 
@@ -312,6 +313,11 @@ class TestValidation:
             sw.bp_decode(desk_code, sw.LlrqVector(init.values[:-1]))
 
 
+def _on_grid(kernel):
+    """A test id naming the kernel and the decoder's fixed grid, as kernel-q-s_max."""
+    return f"{kernel}-{DEFAULT_Q}-{DEFAULT_S_MAX}"
+
+
 def _joint_fields(res):
     trace = [dataclasses.astuple(r) for r in res.final_state.trace]
     return (res.x_hat.dtype, res.x_hat.tolist(), res.success, res.global_iters_used,
@@ -347,7 +353,7 @@ class TestBackendsAgree:
             failed_passes += sum(not r.syndrome_ok for r in got.final_state.trace)
         assert failed_passes > 0
 
-    @pytest.mark.parametrize("kernel", ["table", "minsum"])
+    @pytest.mark.parametrize("kernel", ["table", "minsum"], ids=_on_grid)
     def test_ragged_rows(self, c_backend, monkeypatch, ragged_code, kernel):
         h = ragged_code
         assert sorted(set(h.row_weights().tolist())) == list(range(1, 31))
@@ -359,7 +365,7 @@ class TestBackendsAgree:
             )
             assert _joint_fields(got) == _joint_fields(want), (f, p)
 
-    @pytest.mark.parametrize("kernel", ["table", "minsum"])
+    @pytest.mark.parametrize("kernel", ["table", "minsum"], ids=_on_grid)
     def test_non_iterative(self, c_backend, monkeypatch, ragged_code, kernel):
         h = ragged_code
         outcomes = set()
