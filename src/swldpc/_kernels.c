@@ -41,16 +41,17 @@
 #endif
 
 /* The belief-propagation loop works on the code's padded edge layout, the
- * EdgeLayout of codes.py: an array of d x m entries, entry t * m + i for the
- * t-th edge of row i. cols holds each entry's column; a row's real edges come
- * first, in increasing column order, and its pads sit on the sentinel column
- * n. Messages use the same layout, so every step of a row scan is one loop
- * over all m rows, whose iterations are independent and which the compiler
- * can vectorise. Message arithmetic stays in int32. The grid is fixed at
- * s_max = 10000 with table[0] = 6 and tmax = 22, so bp._bp_setup's pad is
- * 10023 + 6 d_max; a scan value never exceeds the pad in magnitude, and the
- * pad stays below 2**30, so that |a +- b| of any two values fits, for every
- * row of fewer than 178 million edges. */
+ * one form codes.SparseParityMatrix stores H in: an array of d x m entries,
+ * entry t * m + i for the t-th edge of row i. cols holds each entry's column;
+ * a row's real edges come first, in increasing column order, and its pads
+ * sit on the sentinel column n. Messages use the same layout, so every step
+ * of a row scan is one loop over all m rows, whose iterations are
+ * independent and which the compiler can vectorise. Message arithmetic stays
+ * in int32. The grid is fixed at s_max = 10000 with table[0] = 6 and
+ * tmax = 22, so bp._bp_setup's pad is 10023 + 6 d_max; a scan value never
+ * exceeds the pad in magnitude, and the pad stays below 2**30, so that
+ * |a +- b| of any two values fits, for every row of fewer than 178 million
+ * edges. */
 
 static inline int32_t clip(int64_t v, int32_t s_max)
 {

@@ -121,8 +121,8 @@ def _ptr(arr: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(arr))
 
 
-def bp_run(dll, layout, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
-    """Run the whole BP loop in C on layout's padded edge matrix.
+def bp_run(dll, h, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
+    """Run the whole BP loop in C on the padded edge matrix h.cols.
 
     llr holds the n stored channel values; pad is the box-plus identity the
     pads hold; table is the correction table with its trailing zero, or None
@@ -131,12 +131,12 @@ def bp_run(dll, layout, llr, s_max, pad, table, max_iters, c2v, bits, posterior)
     decisions and the clipped posterior. Every array is C-contiguous,
     writable and int32 but for bits. Returns (iterations, syndrome_ok).
     """
-    d, m = layout.cols.shape
+    d, m = h.cols.shape
     n = llr.size
     work = np.empty(n + 1 + (d * m + m + 1) // 2, dtype=np.int64)
     ok = ctypes.c_int32()
     iters = dll.bp_run(
-        m, n, d, _ptr(layout.cols), _ptr(llr), s_max, pad,
+        m, n, d, _ptr(h.cols), _ptr(llr), s_max, pad,
         None if table is None else _ptr(table), max_iters, _ptr(c2v), _ptr(work), _ptr(bits),
         _ptr(posterior), ctypes.byref(ok),
     )
@@ -146,8 +146,8 @@ def bp_run(dll, layout, llr, s_max, pad, table, max_iters, c2v, bits, posterior)
 class SideInfoPass:
     """The compiled side_info_pass bound to one frame's buffers.
 
-    The arguments up to posterior are those of bp._pass_numpy: the layout,
-    k, the checked uint8 arrays y and z, s_max, pad, the table or None, the
+    The arguments up to posterior are those of bp._pass_numpy: the matrix,
+    the checked uint8 arrays y and z, s_max, pad, the table or None, the
     padded int32 messages c2v, and the output arrays bits (uint8) and
     posterior (int32), all C-contiguous and writable. The object keeps them
     alive, owns the scratch the kernel needs and takes their addresses once,
@@ -156,15 +156,15 @@ class SideInfoPass:
     syndrome_ok, parity_ok, disagreements).
     """
 
-    def __init__(self, dll, layout, k, y, z, s_max, pad, table, c2v, bits, posterior):
-        d, m = layout.cols.shape
+    def __init__(self, dll, h, y, z, s_max, pad, table, c2v, bits, posterior):
+        d, m = h.cols.shape
         n = bits.size
-        self._keep = (layout, y, z, table, c2v, bits, posterior)
+        self._keep = (h, y, z, table, c2v, bits, posterior)
         self._work = np.empty(n + 1 + (d * m + m + n + 1) // 2, dtype=np.int64)
         self._stats = np.empty(3, dtype=np.int32)
         self._fn = dll.side_info_pass
         self._args = (
-            m, n, k, d, _ptr(layout.cols), _ptr(y), _ptr(z), s_max, pad,
+            m, n, h.k, d, _ptr(h.cols), _ptr(y), _ptr(z), s_max, pad,
             None if table is None else _ptr(table), _ptr(c2v), _ptr(self._work), _ptr(bits),
             _ptr(posterior), _ptr(self._stats),
         )
@@ -175,12 +175,12 @@ class SideInfoPass:
         return iters, bool(ok), bool(same), differ
 
 
-def encode(dll, layout, k, x):
+def encode(dll, h, x):
     """The parity block of the checked uint8 source block x, as
     encoding._encode_numpy computes it."""
-    d, m = layout.cols.shape
+    d, m = h.cols.shape
     z = np.empty(m, dtype=np.uint8)
-    dll.encode_run(m, k, d, _ptr(layout.cols), _ptr(x), _ptr(z))
+    dll.encode_run(m, h.k, d, _ptr(h.cols), _ptr(x), _ptr(z))
     return z
 
 

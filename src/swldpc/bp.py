@@ -12,9 +12,9 @@ bp_decode runs BP from a given LLR vector. side_info_pass runs one pass of
 the joint decoder on a SideInfoFrame, which holds a frame's side information
 and parity and the messages its passes share; it builds the channel values
 itself. Both go through one BP loop per backend, bp_loop in _kernels.c and
-_bp_loop here, which take the same arguments: the messages in the code's
-padded EdgeLayout, updated in place, and output buffers for the hard bits
-and the posterior.
+_bp_loop here, which take the same arguments: the code's matrix, the
+messages in its padded edge layout, updated in place, and output buffers
+for the hard bits and the posterior.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class LlrqVector:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.int32)
+        self.values = _exact_int32(self.values, "LLR values")
         if self.values.ndim != 1:
             raise ValueError("LLR vector must be one-dimensional")
         if _magnitude(self.values) > DEFAULT_S_MAX:
@@ -72,9 +72,9 @@ class DecodeOutcome:
     c2v holds the check-to-variable messages of the last round, one per edge
     in row-major order, the order of np.concatenate(h.rows) (all zero when no
     round ran from a cold start); passing it back to bp_decode warm-starts
-    the next run. The BP loop of either backend works on the code's padded
-    EdgeLayout; bp_decode converts the messages to it once on entry and back
-    once on exit.
+    the next run. The BP loop of either backend works on the padded edge
+    layout the matrix is stored in; bp_decode converts the messages to it
+    once on entry and back once on exit.
     """
 
     hard_bits: np.ndarray
@@ -82,6 +82,18 @@ class DecodeOutcome:
     iterations_used: int
     syndrome_ok: bool
     c2v: np.ndarray | None = None
+
+
+def _exact_int32(values, what: str) -> np.ndarray:
+    """values as an int32 array, which must hold them exactly."""
+    arr = np.asarray(values)
+    if arr.dtype == np.int32:
+        return arr
+    with np.errstate(invalid="ignore"):  # NaN and inf then compare unequal
+        out = arr.astype(np.int32) if arr.dtype.kind in "biuf" else None
+    if out is None or not np.array_equal(out, arr):
+        raise ValueError(f"{what} must be integers in the int32 range")
+    return out
 
 
 def _magnitude(values: np.ndarray) -> int:
@@ -142,7 +154,7 @@ def init_from_side_info(y, z, alpha: float) -> LlrqVector:
 def hard_syndrome(h: SparseParityMatrix, bits) -> np.ndarray:
     """Parity of every check for a full hard-decision word of length n."""
     bits = as_bit_array(bits, h.n_cols, "codeword")
-    return h.decode_plan().row_parity(np.append(bits, np.uint8(0)))
+    return h.row_parity(np.append(bits, np.uint8(0)))
 
 
 def _box_table(a, b, table, tmax):
@@ -158,21 +170,20 @@ def _box_minsum(a, b):
 
 
 def _bp_setup(h: SparseParityMatrix, kernel: str):
-    """What a BP run on h needs besides its channel values: the layout, the
-    pad value, the correction table (None for min-sum), zeroed padded
-    messages and empty hard-bit and posterior buffers."""
+    """What a BP run on h needs besides h and its channel values: the pad
+    value, the correction table (None for min-sum), zeroed padded messages
+    and empty hard-bit and posterior buffers."""
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    lay = h.decode_plan()
     # Pads hold a box-plus identity P: box(x, P) == x for every x a scan can
     # hold. Reductions of real messages stay within X = max(s_max, table[0]);
     # P >= X + tmax + 1 keeps |x +- P| > tmax, where no correction applies,
     # also after a row's pads are reduced with each other, which lowers P by
     # at most table[0] per step. On the fixed grid P = 10023 + 6 d_max.
     tmax = _TABLE.size - 1
-    pad = max(DEFAULT_S_MAX, int(_TABLE[0])) + tmax + 1 + lay.cols.shape[0] * int(_TABLE[0])
-    return (lay, pad, _TABLE if kernel == "table" else None,
-            np.zeros(lay.cols.shape, dtype=np.int32),
+    pad = max(DEFAULT_S_MAX, int(_TABLE[0])) + tmax + 1 + h.cols.shape[0] * int(_TABLE[0])
+    return (pad, _TABLE if kernel == "table" else None,
+            np.zeros(h.cols.shape, dtype=np.int32),
             np.empty(h.n_cols, dtype=np.uint8), np.empty(h.n_cols, dtype=np.int32))
 
 
@@ -207,28 +218,28 @@ def bp_decode(
     numpy otherwise; both give the same outcome bit for bit.
     """
     _check_iters(max_local_iters, "max_local_iters")
-    lay, pad, table, padded, bits, post = _bp_setup(h, kernel)
+    pad, table, padded, bits, post = _bp_setup(h, kernel)
     if init.values.size != h.n_cols:
         raise ValueError(f"init has {init.values.size} values for n={h.n_cols}")
     if c2v is not None:
-        c2v = np.ascontiguousarray(c2v, dtype=np.int32)
-        if c2v.shape != (lay.edges,):
-            raise ValueError(f"c2v has shape {c2v.shape} for {lay.edges} edges")
+        c2v = _exact_int32(c2v, "c2v")
+        if c2v.shape != (h.edges,):
+            raise ValueError(f"c2v has shape {c2v.shape} for {h.edges} edges")
         if _magnitude(c2v) > DEFAULT_S_MAX:
             raise ValueError(f"c2v magnitudes must not exceed s_max={DEFAULT_S_MAX}")
-        padded.T[lay.valid.T] = c2v  # row-major edges outside
+        padded.T[h.valid.T] = c2v  # row-major edges outside
 
     dll = _native.lib()
     run = _bp_loop if dll is None else functools.partial(_native.bp_run, dll)
     # _native takes the addresses of writable buffers only
     llr = np.require(init.values, np.int32, "CW")
-    iterations, ok = run(lay, llr, DEFAULT_S_MAX, pad, table, max_local_iters, padded, bits, post)
+    iterations, ok = run(h, llr, DEFAULT_S_MAX, pad, table, max_local_iters, padded, bits, post)
     return DecodeOutcome(
         hard_bits=bits,
         posterior=LlrqVector(post, k=init.k),
         iterations_used=iterations,
         syndrome_ok=ok,
-        c2v=padded.T[lay.valid.T],
+        c2v=padded.T[h.valid.T],
     )
 
 
@@ -248,7 +259,7 @@ class SideInfoFrame:
     the BP passes that decode it share.
 
     The passes continue from one set of check-to-variable messages, kept in
-    the code's padded EdgeLayout; the first pass starts cold. hard_bits and
+    the padded edge layout of h.cols; the first pass starts cold. hard_bits and
     posterior (stored sign) hold the last pass's n values and are overwritten
     by the next pass. y and z must be checked 0/1 uint8 arrays of lengths k
     and m. The compiled kernels are picked once, when the frame is made.
@@ -256,9 +267,8 @@ class SideInfoFrame:
 
     def __init__(self, h: SparseParityMatrix, y: np.ndarray, z: np.ndarray,
                  kernel: str = "table"):
-        lay, pad, table, self.c2v, self.hard_bits, self.posterior = _bp_setup(h, kernel)
-        args = (lay, h.k, y, z, DEFAULT_S_MAX, pad, table, self.c2v, self.hard_bits,
-                self.posterior)
+        pad, table, self.c2v, self.hard_bits, self.posterior = _bp_setup(h, kernel)
+        args = (h, y, z, DEFAULT_S_MAX, pad, table, self.c2v, self.hard_bits, self.posterior)
         dll = _native.lib()
         self.run = (
             functools.partial(_pass_numpy, *args) if dll is None
@@ -280,7 +290,7 @@ def side_info_pass(frame: SideInfoFrame, alpha: float, max_iters: int) -> PassOu
     return PassOutcome(*frame.run(quantize_llr(a), quantize_llr(-a), max_iters))
 
 
-def _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
+def _bp_loop(h, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
     """The numpy flooding loop, with _native.bp_run's arguments and results.
     c2v holds the starting messages in the padded layout, whose pad entries
     are never read, and receives the last round's; bits and posterior receive
@@ -294,24 +304,24 @@ def _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
         def box(a, b):
             return _box_table(a, b, table, tmax)
 
-    d_max = lay.cols.shape[0]
+    d_max = h.cols.shape[0]
     pad = np.int32(pad)
     # internal domain: positive favors bit 0; entry n is the sentinel column
     lam0 = np.append(-llr.astype(np.int64), 0)
-    pads = ~lay.valid
+    pads = ~h.valid
 
     def variable_pass():
         # float64 column sums are exact: each is at most d_v * s_max << 2**53
-        col_sum = np.bincount(lay.cols.ravel(), weights=c2v.ravel(), minlength=lam0.size)
+        col_sum = np.bincount(h.cols.ravel(), weights=c2v.ravel(), minlength=lam0.size)
         tot = lam0 + col_sum.astype(np.int64)
         tot[-1] = 0  # the sentinel collects the pads' messages; it must read as bit 0
-        v2c = np.clip(tot[lay.cols] - c2v, -s_max, s_max).astype(np.int32)
+        v2c = np.clip(tot[h.cols] - c2v, -s_max, s_max).astype(np.int32)
         v2c[pads] = pad
         return tot, v2c
 
     tot, v2c = variable_pass()
     iterations = 0
-    ok = not lay.row_parity((tot < 0).astype(np.uint8)).any()
+    ok = not h.row_parity((tot < 0).astype(np.uint8)).any()
     if not ok:
         for iterations in range(1, max_iters + 1):
             # exclusive scans: left[t] reduces a row's messages before t, right[t] after t
@@ -323,7 +333,7 @@ def _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
                 right[t] = box(right[t + 1], v2c[t + 1])
             c2v[...] = np.clip(box(left, right), -s_max, s_max)
             tot, v2c = variable_pass()
-            if not lay.row_parity((tot < 0).astype(np.uint8)).any():
+            if not h.row_parity((tot < 0).astype(np.uint8)).any():
                 ok = True
                 break
     bits[:] = tot[:-1] < 0
@@ -331,11 +341,12 @@ def _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
     return iterations, bool(ok)
 
 
-def _pass_numpy(lay, k, y, z, s_max, pad, table, c2v, bits, posterior, level1, level0, max_iters):
+def _pass_numpy(h, y, z, s_max, pad, table, c2v, bits, posterior, level1, level0, max_iters):
     """side_info_pass in numpy, with _native.SideInfoPass's arguments and results."""
+    k = h.k
     llr = np.empty(bits.size, dtype=np.int32)
     llr[:k] = np.where(y, level1, level0)
     llr[k:] = np.where(z, s_max, -s_max)
-    iterations, ok = _bp_loop(lay, llr, s_max, pad, table, max_iters, c2v, bits, posterior)
+    iterations, ok = _bp_loop(h, llr, s_max, pad, table, max_iters, c2v, bits, posterior)
     return (iterations, ok, bool(np.array_equal(bits[k:], z)),
             int(np.count_nonzero(bits[:k] != y)))

@@ -8,11 +8,12 @@ every later row i holds ones in columns k+i-1 and k+i. Hz is unit lower
 bidiagonal, so H always has full row rank and parity bits can be computed by
 one forward pass.
 
-Encoding, the hard syndrome and belief propagation all walk one cached
-EdgeLayout per code: H's column indices as a padded (d_max, m) matrix whose
-pads point at a sentinel column n, read by the numpy code and the compiled
-kernels alike. Its row_parity method is the one row-parity routine of the
-numpy code; the compiled encode and BP loops compute the same parities.
+A SparseParityMatrix stores H in one form, the edge layout that encoding,
+the hard syndrome and belief propagation all walk: H's column indices as a
+padded (d_max, m) matrix whose pads point at a sentinel column n, read by
+the numpy code and the compiled kernels alike, built when the matrix is.
+Its row_parity method is the one row-parity routine of the numpy code; the
+compiled encode and BP loops compute the same parities.
 
 Codes are stored as alist text (MacKay's format) with one leading comment
 line. save_alist builds the text, and load_alist parses and checks each
@@ -23,7 +24,7 @@ line, as a line-by-line reader would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -134,88 +135,53 @@ def get_code_spec(code_id: str) -> CodeSpec:
         raise ValueError(f"unknown code id {code_id!r}; known: {sorted(CODE_REGISTRY)}") from None
 
 
-class EdgeLayout:
-    """The Tanner graph's edges as one padded column-index matrix.
+class SparseParityMatrix:
+    """Sparse binary parity-check matrix H, stored as its padded edge layout.
 
     cols has shape (d_max, m), transposed so that one step of a scan along
     every row at once reads one contiguous array: cols[t, i] is the column of
-    the t-th one of row i, in increasing column order. Rows with fewer than
-    d_max ones are padded with the sentinel column n, which reads 0 as a bit
-    and whose sums are discarded. valid = cols < n marks the real edges, of
-    which there are edges; valid.T selects them in row-major order, the order
-    of H's edges outside this class. The numpy code and the compiled kernels
-    walk the same matrix.
+    the t-th one of row i, in strictly increasing column order. Rows with
+    fewer than d_max ones are padded with the sentinel column n, which reads
+    0 as a bit and whose sums are discarded. valid = cols < n marks the real
+    edges, of which there are edges; valid.T selects them in row-major order,
+    the order of H's edges outside this class and of rows. The numpy code and
+    the compiled kernels walk the same matrix.
+
+    The first k columns are systematic; the trailing n_cols - k columns
+    always form the staircase, which guarantees full row rank. The
+    constructor takes rows[i], the column indices of row i's ones, and
+    checks them. Instances are treated as immutable once built and may be
+    shared between threads read-only.
     """
 
-    __slots__ = ("cols", "valid", "edges")
-
-    def __init__(self, mat: "SparseParityMatrix"):
-        deg = mat.row_weights()
-        cols = _padded(np.concatenate(mat.rows), deg, int(deg.max()), mat.n_cols, np.intp)
-        self.cols = np.ascontiguousarray(cols.T)
-        self.valid = self.cols < mat.n_cols
-        self.edges = int(deg.sum())
-
-    def row_parity(self, bits_ext: np.ndarray) -> np.ndarray:
-        """Parity of every row for a 0/1 word of length n + 1 whose last
-        entry, the sentinel column, is 0."""
-        return (bits_ext[self.cols].sum(0) & 1).astype(np.uint8)
-
-
-@dataclass(eq=False)
-class SparseParityMatrix:
-    """Sparse binary parity-check matrix in row-index form.
-
-    rows[i] lists the column indices of the ones in row i, strictly
-    increasing. The first k columns are systematic; the trailing
-    n_cols - k columns always form the staircase, which guarantees full
-    row rank. Instances are treated as immutable once built and may be
-    shared between threads read-only. decode_plan() (alias encode_plan())
-    returns the code's EdgeLayout, built on first use and then cached.
-    """
-
-    n_rows: int
-    n_cols: int
-    k: int
-    rows: list
-    design_p: float | None = None
-    _layout: EdgeLayout | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.rows = [np.asarray(r, dtype=np.int32) for r in self.rows]
-        self.validate()
-
-    # -- structure ---------------------------------------------------------
-
-    def validate(self) -> None:
-        if self.n_rows != self.n_cols - self.k:
-            raise ValueError(
-                f"n_rows={self.n_rows} must equal n_cols-k={self.n_cols - self.k}"
-            )
-        if len(self.rows) != self.n_rows:
-            raise ValueError(f"got {len(self.rows)} row lists for n_rows={self.n_rows}")
-        flat = np.concatenate(self.rows) if self.rows else np.zeros(0, np.int32)
-        bad = _first_bad_row(flat, self.row_weights(), self.n_cols, self.k)
-        if bad is None:
-            return
-        i, reason = bad
-        if reason == "range":
-            raise ValueError(f"row {i}: column index out of range [0, {self.n_cols})")
-        if reason == "order":
-            raise ValueError(f"row {i}: column indices must be strictly increasing")
-        r = self.rows[i]
-        raise ValueError(
-            f"row {i}: staircase columns are {r[r >= self.k].tolist()}, "
-            f"expected {_staircase(i, self.k)}"
-        )
+    def __init__(self, n_rows: int, n_cols: int, k: int, rows, design_p: float | None = None):
+        if n_rows != n_cols - k:
+            raise ValueError(f"n_rows={n_rows} must equal n_cols-k={n_cols - k}")
+        rows = list(rows)
+        if len(rows) != n_rows:
+            raise ValueError(f"got {len(rows)} row lists for n_rows={n_rows}")
+        rows = [_row_indices(i, r, n_cols) for i, r in enumerate(rows)]
+        deg = np.fromiter(map(len, rows), np.intp, n_rows)
+        flat = np.concatenate(rows) if rows else np.zeros(0, np.intp)
+        cols = _padded(flat, deg, int(deg.max(initial=1)), n_cols, np.intp).T
+        bad = _first_bad_row(cols, deg, n_cols, k)
+        if bad is not None:
+            raise ValueError(f"row {bad[0]}: {bad[1]}")
+        self._set(n_cols, k, cols, design_p)
 
     @classmethod
-    def _checked(cls, n_rows, n_cols, k, rows, design_p) -> "SparseParityMatrix":
-        """An instance from int32 rows that already pass validate()."""
+    def _from_cols(cls, n_cols, k, cols, design_p) -> "SparseParityMatrix":
+        """An instance on a padded column matrix that already passes the
+        constructor's checks."""
         mat = cls.__new__(cls)
-        mat.n_rows, mat.n_cols, mat.k, mat.rows, mat.design_p = n_rows, n_cols, k, rows, design_p
-        mat._layout = None
+        mat._set(n_cols, k, cols, design_p)
         return mat
+
+    def _set(self, n_cols, k, cols, design_p) -> None:
+        self.n_rows, self.n_cols, self.k, self.design_p = cols.shape[1], n_cols, k, design_p
+        self.cols = np.ascontiguousarray(cols, dtype=np.intp)
+        self.valid = self.cols < n_cols
+        self.edges = int(np.count_nonzero(self.valid))
 
     @property
     def n(self) -> int:
@@ -225,6 +191,12 @@ class SparseParityMatrix:
     def m(self) -> int:
         return self.n_rows
 
+    @property
+    def rows(self) -> list:
+        """The column indices of every row's ones, in increasing order, as int32 arrays."""
+        flat = self.cols.T[self.valid.T].astype(np.int32)
+        return np.split(flat, np.cumsum(self.row_weights())[:-1]) if self.n_rows else []
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseParityMatrix):
             return NotImplemented
@@ -233,25 +205,26 @@ class SparseParityMatrix:
             and self.n_cols == other.n_cols
             and self.k == other.k
             and self.design_p == other.design_p
-            and all(np.array_equal(a, b) for a, b in zip(self.rows, other.rows))
+            and np.array_equal(self.cols, other.cols)
         )
 
     # -- views and statistics ----------------------------------------------
 
+    def row_parity(self, bits_ext: np.ndarray) -> np.ndarray:
+        """Parity of every row for a 0/1 word of length n + 1 whose last
+        entry, the sentinel column, is 0."""
+        return (bits_ext[self.cols].sum(0) & 1).astype(np.uint8)
+
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        for i, r in enumerate(self.rows):
-            dense[i, r] = 1
+        dense[np.nonzero(self.valid)[1], self.cols[self.valid]] = 1
         return dense
 
     def column_weights(self) -> np.ndarray:
-        return np.bincount(
-            np.concatenate(self.rows) if self.rows else np.empty(0, np.int32),
-            minlength=self.n_cols,
-        )
+        return np.bincount(self.cols[self.valid], minlength=self.n_cols)
 
     def row_weights(self) -> np.ndarray:
-        return np.fromiter((len(r) for r in self.rows), dtype=np.int64, count=self.n_rows)
+        return np.count_nonzero(self.valid, axis=0)
 
     def mean_systematic_column_weight(self) -> float:
         return float(self.column_weights()[: self.k].mean())
@@ -263,18 +236,11 @@ class SparseParityMatrix:
         """True when no two systematic columns share two rows."""
         import scipy.sparse as sp  # here, not at import: it adds ~20 MB to every process
 
-        rows_idx = []
-        cols_idx = []
-        for i, r in enumerate(self.rows):
-            sys_cols = r[r < self.k]
-            rows_idx.append(np.full(sys_cols.size, i, dtype=np.int64))
-            cols_idx.append(sys_cols.astype(np.int64))
-        if not rows_idx:
-            return True
+        sys_edge = self.cols < self.k  # pads sit on column n >= k
         a = sp.csr_matrix(
             (
-                np.ones(sum(len(c) for c in cols_idx), dtype=np.int64),
-                (np.concatenate(rows_idx), np.concatenate(cols_idx)),
+                np.ones(np.count_nonzero(sys_edge), dtype=np.int64),
+                (np.nonzero(sys_edge)[1], self.cols[sys_edge]),
             ),
             shape=(self.n_rows, self.k),
         )
@@ -282,15 +248,29 @@ class SparseParityMatrix:
         off = gram.row != gram.col
         return bool(not np.any(gram.data[off] > 1))
 
-    # -- cached edge layout --------------------------------------------------
-
-    def decode_plan(self) -> EdgeLayout:
-        """The code's EdgeLayout, built on first use and cached."""
-        if self._layout is None:
-            self._layout = EdgeLayout(self)
-        return self._layout
+    def decode_plan(self) -> "SparseParityMatrix":
+        """The matrix itself, which is its own edge layout. Nothing in the
+        package calls this or its alias encode_plan(); they stay for the
+        benchmark in bench/, whose set-up and span tracing call them."""
+        return self
 
     encode_plan = decode_plan
+
+
+def _row_indices(i: int, r, n_cols: int) -> np.ndarray:
+    """Row i's column indices as an intp array, clipped to [-1, n_cols].
+
+    Clipping keeps which of the constructor's checks a row fails: an entry
+    outside [0, n_cols) either is the row's first or last, which the range
+    check reads, or breaks the row's order.
+    """
+    try:
+        a = np.asarray(r, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or a.ndim != 1 or not np.isfinite(a).all() or (a != np.floor(a)).any():
+        raise ValueError(f"row {i}: column indices must be a flat sequence of integers")
+    return np.clip(a, -1, n_cols).astype(np.intp)
 
 
 def _padded(values: np.ndarray, deg: np.ndarray, width: int, fill: int, dtype) -> np.ndarray:
@@ -306,31 +286,25 @@ def _staircase(i: int, k: int) -> list:
     return [k] if i == 0 else [k + i - 1, k + i]
 
 
-def _first_bad_row(flat: np.ndarray, deg: np.ndarray, n_cols: int, k: int):
-    """The first row that is not a valid row of H, and why, or None.
+def _first_bad_row(cols: np.ndarray, deg: np.ndarray, n_cols: int, k: int):
+    """The first row of a padded (d, m) column matrix that is not a valid
+    row of H, and what is wrong with it, or None.
 
-    flat holds the rows' column indices back to back and deg their lengths.
-    A row fails with "range" when its first or last index lies outside
-    [0, n_cols), with "order" when its indices do not strictly increase,
-    and with "staircase" when its indices >= k are not _staircase(i, k);
+    Row i holds its deg[i] indices in cols[:deg[i], i]. A row fails when its
+    first or last index lies outside [0, n_cols), when its indices do not
+    strictly increase, or when its indices >= k are not _staircase(i, k);
     the tests run in that order.
     """
-    m = deg.size
-    end = np.cumsum(deg)
-    begin = end - deg
-    # pads keep every read in bounds: three before flat for the last three
-    # entries of short rows, one after it for the first entry of empty ones;
-    # what a short or empty row reads is masked below
-    pad = np.concatenate((np.zeros(3, flat.dtype), flat, np.zeros(1, flat.dtype)))
-    last, second, third = pad[end + 2], pad[end + 1], pad[end]
-    bad_range = (deg > 0) & ((pad[begin + 3] < 0) | (last >= n_cols))
-    # np.diff wraps in the rows' dtype exactly as a per-row np.diff would
-    step_bad = np.diff(flat) <= 0
-    step_bad[begin[(begin > 0) & (deg > 0)] - 1] = False  # steps across a row boundary
-    bad_order = np.zeros(m, bool)
-    bad_order[np.searchsorted(end, np.flatnonzero(step_bad), side="right")] = True
-    # a strictly increasing row holds its indices >= k at its end
+    d, m = cols.shape
     i = np.arange(m)
+    # a pad row below cols keeps the reads of short and empty rows in
+    # bounds; what they read is masked below
+    ext = np.vstack((cols, np.full(m, n_cols, cols.dtype)))
+    last, second, third = (ext[np.maximum(deg - j, -1), i] for j in (1, 2, 3))
+    bad_range = (deg > 0) & ((ext[0] < 0) | (last >= n_cols))
+    in_row = np.arange(1, d)[:, None] < deg  # steps from entry t - 1 to t of a row
+    bad_order = ((cols[1:] <= cols[:-1]) & in_row).any(0)
+    # a strictly increasing row holds its indices >= k at its end
     bad_stair = (
         (deg < 2)
         | (last != k + i)
@@ -343,7 +317,12 @@ def _first_bad_row(flat: np.ndarray, deg: np.ndarray, n_cols: int, k: int):
     if bad.size == 0:
         return None
     j = int(bad[0])
-    return j, "range" if bad_range[j] else "order" if bad_order[j] else "staircase"
+    if bad_range[j]:
+        return j, f"column index out of range [0, {n_cols})"
+    if bad_order[j]:
+        return j, "column indices must be strictly increasing"
+    r = cols[: deg[j], j]
+    return j, f"staircase columns are {r[r >= k].tolist()}, expected {_staircase(j, k)}"
 
 
 # -- construction -----------------------------------------------------------
@@ -404,15 +383,16 @@ def build_code(spec: CodeSpec, seed: int = 0, max_bfs_levels: int = 4) -> Sparse
             raise ConstructionError("an edge found no admissible check")
 
     # each row's systematic columns in increasing order, then its stair
-    edge_var = np.repeat(np.arange(k, dtype=np.int32), degrees)
+    edge_var = np.repeat(np.arange(k, dtype=np.intp), degrees)
     order = np.lexsort((edge_var, edge_chk))
-    sys_rows = np.split(edge_var[order], np.cumsum(np.bincount(edge_chk, minlength=m))[:-1])
-    rows = []
-    for i in range(m):
-        rows.append(np.concatenate([sys_rows[i], _staircase(i, k)]).astype(np.int32))
-    return SparseParityMatrix(
-        n_rows=m, n_cols=spec.n, k=k, rows=rows, design_p=spec.design_p
-    )
+    sys_deg = np.bincount(edge_chk, minlength=m)
+    deg = sys_deg + 2
+    deg[0] = sys_deg[0] + 1
+    cols = _padded(edge_var[order], sys_deg, int(deg.max()), spec.n, np.intp)
+    i = np.arange(m)
+    cols[i, deg - 1] = k + i
+    cols[i[1:], deg[1:] - 2] = k + i[1:] - 1
+    return SparseParityMatrix._from_cols(spec.n, k, cols.T, spec.design_p)
 
 
 def _place_edges(degrees, m, max_levels):
@@ -502,7 +482,7 @@ def save_alist(mat: SparseParityMatrix, sink) -> None:
     alist body cannot express. Column and row index lists are 1-based and
     zero-padded to the maximum degree, as usual for the format.
     """
-    flat = np.concatenate(mat.rows)
+    flat = mat.cols.T[mat.valid.T]  # row-major
     row_deg = mat.row_weights()
     col_deg = np.bincount(flat, minlength=mat.n_cols)
     # each column's rows in increasing order: a stable sort of the row-major
@@ -518,7 +498,7 @@ def save_alist(mat: SparseParityMatrix, sink) -> None:
         _int_lines(col_deg[None]),
         _int_lines(row_deg[None]),
         _int_lines(_padded(col_rows, col_deg, max_col, 0, np.int64)),
-        _int_lines(_padded(flat + 1, row_deg, max_row, 0, np.int64)),
+        _int_lines(np.where(mat.valid, mat.cols + 1, 0).T),
     ]
     text = "\n".join(lines) + "\n"
 
@@ -731,17 +711,11 @@ def load_alist(source) -> SparseParityMatrix:
             f"line {6 + bad_col}: column list disagrees with the row lists for column {bad_col + 1}"
         )
 
-    flat = edge_col.astype(np.int32)
-    bad = _first_bad_row(flat, row_deg, n_cols, k)
-    row_end = np.cumsum(row_deg).tolist()
-    row_lists = [flat[a:b] for a, b in zip([0] + row_end[:-1], row_end)]
+    # the rows' zero-padded block, trimmed to the largest row degree, as H's
+    # padded column matrix
+    rows = rows[:, : int(row_deg.max(initial=1))]
+    h_cols = np.where(rows > 0, rows - 1, n_cols).T
+    bad = _first_bad_row(h_cols, row_deg, n_cols, k)
     if bad is not None:  # rows are in range and increasing here, so it is the staircase
-        i = bad[0]
-        par = row_lists[i][row_lists[i] >= k].tolist()
-        raise AlistFormatError(
-            f"line {6 + n_cols + i}: row {i} staircase columns are {par}, "
-            f"expected {_staircase(i, k)}"
-        )
-    return SparseParityMatrix._checked(
-        n_rows=n_rows, n_cols=n_cols, k=k, rows=row_lists, design_p=design_p
-    )
+        raise AlistFormatError(f"line {6 + n_cols + bad[0]}: row {bad[0]} {bad[1]}")
+    return SparseParityMatrix._from_cols(n_cols, k, h_cols, design_p)

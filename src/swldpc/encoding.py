@@ -34,16 +34,15 @@ def encode(h: SparseParityMatrix, x) -> np.ndarray:
     compiled kernel when swldpc.backend() is "c" and in numpy otherwise.
     """
     x = as_bit_array(x, h.k, "source block")
-    lay = h.encode_plan()
     dll = _native.lib()
-    return _encode_numpy(lay, h.k, x) if dll is None else _native.encode(dll, lay, h.k, x)
+    return _encode_numpy(h, x) if dll is None else _native.encode(dll, h, x)
 
 
-def _encode_numpy(lay, k: int, x: np.ndarray) -> np.ndarray:
+def _encode_numpy(h: SparseParityMatrix, x: np.ndarray) -> np.ndarray:
     """encode in numpy, with _native.encode's arguments and result."""
-    x_ext = np.zeros(k + lay.cols.shape[1] + 1, dtype=np.uint8)  # parity columns read 0
-    x_ext[:k] = x
-    return (np.cumsum(lay.row_parity(x_ext)) & 1).astype(np.uint8)
+    x_ext = np.zeros(h.n_cols + 1, dtype=np.uint8)  # parity columns read 0
+    x_ext[: h.k] = x
+    return (np.cumsum(h.row_parity(x_ext)) & 1).astype(np.uint8)
 
 
 def compression_rate(spec: CodeSpec) -> float:

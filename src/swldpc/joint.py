@@ -19,7 +19,7 @@ Each pass is one bp.side_info_pass over a bp.SideInfoFrame made once per
 decode: under the compiled backend a single call, free of the interpreter
 lock, builds the channel values, runs BP, checks the parity bits against z
 and counts the disagreements with y. The frame keeps the messages between
-passes in the code's padded layout. Python computes the quantized channel
+passes in the padded edge layout the code's matrix is stored in. Python computes the quantized channel
 levels and the estimates, and reads the posterior only after a failed pass.
 """
 

@@ -111,6 +111,7 @@ class SweepConfig:
             isinstance(c, (str, os.PathLike)) for c in self.codes
         ):
             raise ValueError(f"codes must be a list of registry ids or alist paths, got {self.codes!r}")
+        self.codes = [os.fsdecode(c) for c in self.codes]  # paths as str, which JSON holds
         if not isinstance(self.points, (list, tuple)) or not all(
             isinstance(pt, (list, tuple)) and len(pt) == 2 and all(map(_is_real, pt))
             for pt in self.points
@@ -346,7 +347,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     try:
         for ci, ref in enumerate(cfg.codes):
             start = time.perf_counter()
-            code_id, h = _resolve_code(str(ref), cfg.build_seed)
+            code_id, h = _resolve_code(ref, cfg.build_seed)
             setup_seconds = time.perf_counter() - start
             rate_x = h.m / h.k
             code_summaries.append(

@@ -208,7 +208,7 @@ def validate_ref(n_rows: int, n_cols: int, k: int, rows: list) -> None:
     for i, r in enumerate(rows):
         if r.size and (r[0] < 0 or r[-1] >= n_cols):
             raise ValueError(f"row {i}: column index out of range [0, {n_cols})")
-        if np.any(np.diff(r) <= 0):
+        if np.any(np.diff(r.astype(np.int64)) <= 0):  # exact, not wrapped in int32
             raise ValueError(f"row {i}: column indices must be strictly increasing")
         par = r[r >= k].tolist()
         want = _staircase_ref(i, k)

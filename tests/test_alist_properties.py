@@ -1,4 +1,4 @@
-"""load_alist and SparseParityMatrix.validate against their line-by-line references.
+"""load_alist and the SparseParityMatrix constructor against their line-by-line references.
 
 Mutations of save_alist text (token edits, huge and non-ASCII integers,
 dropped, duplicated and blank lines, swapped entries, header edits) must
@@ -75,9 +75,10 @@ def _rewired_text(draw, h) -> str:
             r.add(col)
             if draw(st.booleans()) and len(r) > 1:
                 r.discard(draw(st.sampled_from(sorted(r))))
-    mat = sw.SparseParityMatrix._checked(
-        h.m, h.n, h.k, [np.array(sorted(r), dtype=np.int32) for r in rows], h.design_p
-    )
+    deg = np.array([len(r) for r in rows])
+    cols = np.full((h.m, deg.max()), h.n)
+    cols[np.arange(deg.max()) < deg[:, None]] = [c for r in rows for c in sorted(r)]
+    mat = sw.SparseParityMatrix._from_cols(h.n, h.k, cols.T, h.design_p)
     buf = io.StringIO()
     sw.save_alist(mat, buf)
     return buf.getvalue()
@@ -209,7 +210,13 @@ def test_mutated_rows_match_validate_reference(case):
             sw.SparseParityMatrix(n_rows=h.n_rows, n_cols=h.n_cols, k=h.k, rows=rows)
         assert str(got.value) == str(exc)
         return
-    sw.SparseParityMatrix(n_rows=h.n_rows, n_cols=h.n_cols, k=h.k, rows=rows)
+    mat = sw.SparseParityMatrix(n_rows=h.n_rows, n_cols=h.n_cols, k=h.k, rows=rows)
+    assert [r.tolist() for r in mat.rows] == rows
+    assert all(r.dtype == np.int32 for r in mat.rows)
+    dense = np.zeros((h.n_rows, h.n_cols), dtype=np.uint8)
+    for i, r in enumerate(rows):
+        dense[i, r] = 1
+    assert np.array_equal(mat.to_dense(), dense)
 
 
 def _edit(line_no, old, new):

@@ -106,6 +106,12 @@ class TestLlrqVector:
         for bad in (10001, -10001):
             with pytest.raises(ValueError, match="s_max"):
                 sw.LlrqVector(values=np.array([0, bad]), k=1)
+        # values int32 cannot hold exactly are refused, not wrapped or truncated
+        for bad in ([2**32 + 5, -3], [0.9, -3.7], [float("nan"), 0], [2**70, 0]):
+            with pytest.raises(ValueError, match="int32"):
+                sw.LlrqVector(values=np.array(bad), k=1)
+        exact = sw.LlrqVector(values=np.array([5.0, -3.0]), k=1)
+        assert exact.values.dtype == np.int32 and exact.values.tolist() == [5, -3]
 
     def test_init_from_side_info_fields(self, small_code):
         k, m = small_code.k, small_code.n_rows
@@ -274,6 +280,13 @@ class TestBpDecode:
             sw.bp_decode(toy_code, init, c2v=np.zeros(edges - 1, np.int32))
         with pytest.raises(ValueError, match="s_max"):
             sw.bp_decode(toy_code, init, c2v=np.full(edges, 10001, np.int32))
+        # int64 and float messages that int32 cannot hold exactly are refused,
+        # not wrapped or truncated
+        for bad in (np.full(edges, 2**32 + 7, np.int64), np.full(edges, 0.5)):
+            with pytest.raises(ValueError, match="int32"):
+                sw.bp_decode(toy_code, init, c2v=bad)
+        exact = sw.bp_decode(toy_code, init, c2v=np.full(edges, 7, np.int64))
+        assert exact.c2v.dtype == np.int32
 
 
 def _noisy_frame(h, p, seed):
@@ -312,7 +325,7 @@ def test_pad_is_a_boxplus_identity(kernel):
            else lambda a, b: _box_table(a, b, _TABLE, _TABLE.size - 1))
     x = np.arange(-DEFAULT_S_MAX, DEFAULT_S_MAX + 1, dtype=np.int32)
     for d_max in range(1, 31):
-        _, pad, *_ = _bp_setup(_one_row_code(d_max), kernel)
+        pad, *_ = _bp_setup(_one_row_code(d_max), kernel)
         pads = np.full_like(x, pad)
         acc = pads
         for _ in range(d_max):
@@ -390,7 +403,6 @@ class TestBackendsAgree:
         # runs them, with the caps and estimates changing between passes.
         overruled = 0  # passes that satisfy every check with a parity bit unlike z
         for c, h in enumerate(self._codes()):
-            lay = h.decode_plan()
             for f in range(3):
                 p = 0.03 + 0.04 * f
                 _, y, z = _noisy_frame(h, p, [c, f, 1])
@@ -410,7 +422,7 @@ class TestBackendsAgree:
                             assert out.disagreements == np.count_nonzero(bits[: h.k] != y)
                             overruled += out.syndrome_ok and not out.parity_ok
                             passes.append((out, frame.hard_bits.copy(), frame.posterior.copy(),
-                                           frame.c2v[lay.valid].copy()))
+                                           frame.c2v[h.valid].copy()))
                         runs.append(passes)
                     for got, want in zip(*runs):
                         assert got[0] == want[0]

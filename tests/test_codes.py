@@ -85,6 +85,21 @@ class TestStaircaseStructure:
         with pytest.raises(ValueError, match="staircase"):
             sw.SparseParityMatrix(n_rows=2, n_cols=6, k=4, rows=rows, design_p=None)
 
+    def test_non_integral_or_huge_entries_rejected(self):
+        # Entries are neither truncated nor wrapped to fit an integer type;
+        # the error names the row.
+        for row, reason in (([1.7, 4, 5], "integers"), ([1, 2**40, 5], "increasing"),
+                            ([1, 4, 2**40], "out of range"), ([1, 4, 2**80], "out of range"),
+                            ([1, float("nan"), 5], "integers")):
+            with pytest.raises(ValueError, match=rf"^row 1: .*{reason}"):
+                sw.SparseParityMatrix(n_rows=2, n_cols=6, k=4, rows=[[0, 2, 4], row])
+        # Order is tested exactly: these steps would wrap to positive in int32.
+        with pytest.raises(ValueError, match="^row 1: .*increasing"):
+            sw.SparseParityMatrix(n_rows=2, n_cols=6, k=4,
+                                  rows=[[0, 2, 4], [1, 2**31 - 1, -2, 5]])
+        h = sw.SparseParityMatrix(n_rows=2, n_cols=6, k=4, rows=[[0, 2, 4], [1.0, 4, 5]])
+        assert [r.tolist() for r in h.rows] == [[0, 2, 4], [1, 4, 5]]
+
     def test_full_rank(self, desk_code):
         # The staircase block makes H full row rank by construction.
         assert gf2_rank(desk_code.to_dense()) == desk_code.n_rows
@@ -178,20 +193,20 @@ class TestConstruction:
         weights = h.column_weights()
         assert weights.sum() == sum(len(r) for r in h.rows)
         assert h.row_weights().tolist() == [len(r) for r in h.rows]
-        lay = h.decode_plan()
-        assert lay is h.encode_plan()
+        # The matrix is its own edge layout.
+        assert h.decode_plan() is h and h.encode_plan() is h
         deg = h.row_weights()
-        assert lay.cols.shape == (deg.max(), h.n_rows)
+        assert h.cols.shape == (deg.max(), h.n_rows)
         # Row i's edges fill its first deg[i] slots, every other slot is a pad
         # on the sentinel column, and the edges read in row-major order are
         # exactly h.rows.
-        assert np.array_equal(lay.valid, np.arange(deg.max())[:, None] < deg)
-        assert np.array_equal(lay.valid, lay.cols < h.n_cols)
-        assert (lay.cols[~lay.valid] == h.n_cols).all()
-        assert np.array_equal(lay.cols.T[lay.valid.T], np.concatenate(h.rows))
-        assert lay.edges == deg.sum()
+        assert np.array_equal(h.valid, np.arange(deg.max())[:, None] < deg)
+        assert np.array_equal(h.valid, h.cols < h.n_cols)
+        assert (h.cols[~h.valid] == h.n_cols).all()
+        assert np.array_equal(h.cols.T[h.valid.T], np.concatenate(h.rows))
+        assert h.edges == deg.sum()
         # The compiled kernels take cols as it is: C-contiguous, pointer-sized.
-        assert lay.cols.dtype == np.intp and lay.cols.flags.c_contiguous
+        assert h.cols.dtype == np.intp and h.cols.flags.c_contiguous
 
     def test_compiled_placement_matches_numpy(self, c_backend, monkeypatch):
         # Random geometries, BFS depths 1 to 6, two-valued and explicit

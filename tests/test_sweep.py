@@ -142,6 +142,17 @@ class TestRunSweep:
         assert rep.codes[0].k == 1024
         assert rep.points[0].frame_errs == 0
 
+    def test_path_code_roundtrips_through_json(self, tmp_path, desk_code):
+        # A Path is accepted, serialized as its string, and sweeps as that string.
+        path = tmp_path / "desk.alist"
+        sw.save_alist(desk_code, path)
+        cfg = sw.SweepConfig(codes=[path], points=[(0.01, 0.0)], frames=4)
+        again = sw.SweepConfig.from_json(cfg.to_json())
+        assert again == cfg and again.codes == [str(path)]
+        by_str = sw.SweepConfig(codes=[str(path)], points=[(0.01, 0.0)], frames=4)
+        csv = [sw.emit_report(sw.run_sweep(run)) for run in (cfg, by_str)]
+        assert csv[0] == csv[1] and csv[0].splitlines()[1].startswith("desk,")
+
     def test_multi_code_multi_point_shape(self):
         cfg = sw.SweepConfig(
             codes=["D1", "D2"], points=[(0.005, 0.0), (0.01, 0.0)], frames=4,
