@@ -7,15 +7,16 @@
  * call. A joint-decoder pass is one call: it builds the channel values from
  * y, z and two quantized levels, runs the BP loop, and compares the hard
  * decisions with z and y, so that the Python between passes is small and
- * several decoding threads overlap. bp_run and side_info_pass share one
- * static loop body, bp_loop, and take the check-to-variable messages in the
- * padded layout below, which they update in place; the row-major edge order
- * of bp_decode's public messages is known to bp.py alone. Iteration caps
- * reach here checked by bp._check_iters, so they fit an int32_t. Nothing
- * here keeps static state: every buffer is passed in by the caller, so
- * several threads may run the kernels at once. Every function reproduces the numpy code bit for bit; that code is
- * the fallback when no compiler works and the oracle the tests hold this
- * file to. The file compiles without warnings under -Wall -Wextra.
+ * several decoding threads overlap. bp_run is the one BP loop, which
+ * side_info_pass calls; it updates the check-to-variable messages in place,
+ * in the padded layout below, and the row-major edge order of bp_decode's
+ * public messages is known to bp.py alone. Iteration caps reach here
+ * checked by bp._check_iters, so they fit an int32_t. Nothing here keeps
+ * static state: every buffer is passed in by the caller, so several threads
+ * may run the kernels at once. Every function reproduces the numpy code bit
+ * for bit; that code is the fallback when no compiler works and the oracle
+ * the tests hold this file to. The file compiles without warnings under
+ * -Wall -Wextra.
  *
  * The check pass adds the correction table[min(|a +- b|, tmax)] to min-sum
  * without looking the table up: a non-increasing step table's entry at u is
@@ -26,14 +27,13 @@
 #include <stddef.h>
 #include <stdint.h>
 
-/* On x86-64 with glibc, bp_run and side_info_pass are built twice, for AVX2
- * and for the baseline instruction set, and the loader picks the one the CPU
- * runs (an ifunc). bp_loop and every pass and row loop under it are always
- * inlined into each build: a helper that GCC outlines is built once, for the
- * baseline, and serves both. The compile flags so stay portable; all
- * arithmetic is integer, so both builds give the same bits. Elsewhere, or
- * with a compiler that does not know the attribute, there is one baseline
- * build. */
+/* On x86-64 with glibc, bp_run is built twice, for AVX2 and for the
+ * baseline instruction set, and the loader picks the one the CPU runs (an
+ * ifunc). Every pass and row loop under it is always inlined into each
+ * build: a helper that GCC outlines is built once, for the baseline, and
+ * serves both. The compile flags so stay portable; all arithmetic is
+ * integer, so both builds give the same bits. Elsewhere, or with a compiler
+ * that does not know the attribute, there is one baseline build. */
 #if defined(__x86_64__) && defined(__GLIBC__)
 #define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
 #else
@@ -183,18 +183,20 @@ check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad, const int32_t *thr,
     }
 }
 
-/* The flooding loop of bp_run and side_info_pass, on the padded layout
+/* Flooding BP for bp.bp_decode and side_info_pass on the padded layout
  * (d, m, cols) of an m x n matrix. llr holds the stored channel values
  * (positive favors 1). c2v (d m) holds the starting check-to-variable
  * messages in the padded layout and receives the last round's; the values
  * on pads are never read, since their sums land on the sentinel, whose
- * total is reset. work is scratch of n + 1 int64 values followed by d m + m
- * int32 values. Outputs the n hard decisions, the clipped posterior (stored
- * sign) and *ok; returns the number of rounds run. */
-static inline __attribute__((always_inline)) int32_t
-bp_loop(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
-        int32_t s_max, int32_t pad, const int32_t *table, int32_t max_iters, int32_t *c2v,
-        int64_t *work, uint8_t *bits, int32_t *posterior, int32_t *ok)
+ * total is reset. pad is the box-plus identity on pads; table is NULL for
+ * min-sum; max_iters is at least 0. work is scratch of n + 1 int64 values
+ * followed by d m + m int32 values. Outputs the n hard decisions, the
+ * clipped posterior (stored sign) and *ok; returns the number of rounds
+ * run. */
+VECTOR_CLONES
+int32_t bp_run(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
+               int32_t s_max, int32_t pad, const int32_t *table, int32_t max_iters,
+               int32_t *c2v, int64_t *work, uint8_t *bits, int32_t *posterior, int32_t *ok)
 {
     int64_t *tot = work;
     int32_t *v2c = (int32_t *)(work + n + 1), *acc = v2c + (int64_t)d * m;
@@ -213,29 +215,14 @@ bp_loop(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *ll
     return iters;
 }
 
-/* Flooding BP for bp.bp_decode: bp_loop with its arguments, the messages in
- * c2v in the padded layout and updated in place, as side_info_pass keeps
- * them. pad is the box-plus identity on pads; table is NULL for min-sum;
- * max_iters is at least 0. work is scratch of n + 1 int64 values followed by
- * d m + m int32 values. */
-VECTOR_CLONES
-int32_t bp_run(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
-               int32_t s_max, int32_t pad, const int32_t *table, int32_t max_iters,
-               int32_t *c2v, int64_t *work, uint8_t *bits, int32_t *posterior, int32_t *ok)
-{
-    return bp_loop(m, n, d, cols, llr, s_max, pad, table, max_iters, c2v, work, bits, posterior,
-                   ok);
-}
-
 /* One pass of the side-information decoder on a code with k systematic
  * columns: the channel values are level1 where y is 1 and level0 where it is
- * 0, and +-s_max on the parity bits as z says; then bp_loop runs, warm from
+ * 0, and +-s_max on the parity bits as z says; then bp_run runs, warm from
  * the padded messages in c2v (all zero for a cold start), which it updates.
  * work is scratch of n + 1 int64 values followed by d m + m + n int32
  * values. Writes the hard decisions and posterior to bits and posterior, and
  * to stats the syndrome flag, whether the parity bits equal z, and the
  * number of systematic bits that differ from y; returns the rounds run. */
-VECTOR_CLONES
 int32_t side_info_pass(int32_t m, int32_t n, int32_t k, int32_t d, const intptr_t *cols,
                        const uint8_t *y, const uint8_t *z, int32_t s_max, int32_t pad,
                        const int32_t *table, int32_t *c2v, int64_t *work, uint8_t *bits,
@@ -247,8 +234,8 @@ int32_t side_info_pass(int32_t m, int32_t n, int32_t k, int32_t d, const intptr_
         llr[j] = y[j] ? level1 : level0;
     for (int32_t j = k; j < n; j++)
         llr[j] = z[j - k] ? s_max : -s_max;
-    int32_t iters = bp_loop(m, n, d, cols, llr, s_max, pad, table, max_iters, c2v, work, bits,
-                            posterior, &stats[0]);
+    int32_t iters = bp_run(m, n, d, cols, llr, s_max, pad, table, max_iters, c2v, work, bits,
+                           posterior, &stats[0]);
     int32_t same = 1, differ = 0;
     for (int32_t j = k; j < n; j++)
         same &= bits[j] == z[j - k];

@@ -5,11 +5,12 @@ On first use the C file is compiled with the system compiler (cc -O3
 under a name keyed by the hash of the source and the command, and loaded
 with ctypes.CDLL, which releases the interpreter lock for the length of
 every call. The flags name no instruction set: on x86-64 with glibc the
-source asks the compiler for an AVX2 and a baseline build of the BP loop and
-the loader picks one for the CPU at load time (GCC/clang target_clones);
-both compute in integers and give the same bits. When the library cannot be
-built or loaded, one warning is emitted and bp_decode, the joint decoder's
-passes, encode and build_code run their numpy code instead.
+source asks the compiler for an AVX2 and a baseline build of the BP loop,
+bp_run, which side_info_pass calls, and the loader picks one for the CPU at
+load time (GCC/clang target_clones); both compute in integers and give the
+same bits. When the library cannot be built or loaded, one warning is
+emitted and bp_decode, the joint decoder's passes, encode and build_code
+run their numpy code instead.
 
 Each wrapper takes the arguments and returns the results of its numpy
 counterpart: bp_run those of bp._bp_loop, SideInfoPass those of

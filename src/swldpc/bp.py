@@ -11,7 +11,7 @@ table (default), or pure min-sum.
 bp_decode runs BP from a given LLR vector. side_info_pass runs one pass of
 the joint decoder on a SideInfoFrame, which holds a frame's side information
 and parity and the messages its passes share; it builds the channel values
-itself. Both go through one BP loop per backend, bp_loop in _kernels.c and
+itself. Both go through one BP loop per backend, bp_run in _kernels.c and
 _bp_loop here, which take the same arguments: the code's matrix, the
 messages in its padded edge layout, updated in place, and output buffers
 for the hard bits and the posterior.
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
-from .codes import SparseParityMatrix
+from .codes import SparseParityMatrix, _is_int
 from .encoding import as_bit_array
 
 __all__ = [
@@ -187,9 +187,11 @@ def _bp_setup(h: SparseParityMatrix, kernel: str):
             np.empty(h.n_cols, dtype=np.uint8), np.empty(h.n_cols, dtype=np.int32))
 
 
-def _check_iters(max_iters: int, name: str) -> None:
-    if not 0 <= max_iters <= _ITERS_LIMIT:
-        raise ValueError(f"{name} must be >= 0 and <= {_ITERS_LIMIT}, got {max_iters}")
+def _check_iters(max_iters: int, name: str, low: int = 0) -> None:
+    if not _is_int(max_iters):
+        raise ValueError(f"{name} must be an integer, got {max_iters!r}")
+    if not low <= max_iters <= _ITERS_LIMIT:
+        raise ValueError(f"{name} must be >= {low} and <= {_ITERS_LIMIT}, got {max_iters}")
 
 
 def bp_decode(

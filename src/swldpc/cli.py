@@ -167,7 +167,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = CorrelationConfig(mean_p=args.mean_p, delta_p=args.delta_p, seed=args.seed)
+    cfg = CorrelationConfig(mean_p=args.mean_p, delta_p=args.delta_p)
     xs = np.empty((args.frames, args.k), dtype=np.uint8)
     ys = np.empty_like(xs)
     actual = []

@@ -37,7 +37,7 @@ from .bp import (
     _check_iters,
     side_info_pass,
 )
-from .codes import SparseParityMatrix
+from .codes import SparseParityMatrix, _is_real
 from .encoding import as_bit_array
 
 __all__ = [
@@ -87,7 +87,7 @@ class JointDecodeResult:
 
 def initial_alpha(design_p: float) -> float:
     """Log-odds of the design flip probability; negative for design_p < 0.5."""
-    if not 0.0 < design_p < 0.5:
+    if not (_is_real(design_p) and 0.0 < design_p < 0.5):
         raise ValueError(f"design_p must lie in (0, 0.5), got {design_p}")
     return math.log(design_p / (1.0 - design_p))
 
@@ -164,13 +164,12 @@ def joint_decode(
     not decode ends when the estimate moves by less than ALPHA_TOLERANCE or
     at max_global. The result is the last pass run: success is True exactly
     when it decoded, and final_state holds its estimate and the trace of
-    every pass. max_global must be >= 1 and max_local >= 0.
+    every pass. max_global must lie in [1, 2**31 - 1], max_local in [0, 2**31 - 1].
     """
     z = as_bit_array(z, h.m, "parity block")
     y = as_bit_array(y, h.k, "side information")
     _check_two_bits(h.k)
-    if max_global < 1:
-        raise ValueError(f"max_global must be >= 1, got {max_global}")
+    _check_iters(max_global, "max_global", 1)
     _check_iters(max_local, "max_local")
     alpha = initial_alpha(design_p)
     frame = SideInfoFrame(h, y, z, kernel)

@@ -32,7 +32,6 @@ class CorrelationConfig:
 
     mean_p: float
     delta_p: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, so the range checks below would pass it
@@ -63,18 +62,15 @@ class FramePair:
     actual_p: float
 
 
-def generate_pair(k: int, cfg: CorrelationConfig, rng: np.random.Generator | None = None) -> FramePair:
-    """Draw one correlated (x, y) block of length k.
+def generate_pair(k: int, cfg: CorrelationConfig, rng: np.random.Generator) -> FramePair:
+    """Draw one correlated (x, y) block of length k from rng.
 
-    Draw order is fixed so results are reproducible from cfg.seed alone:
-    first the per-block flip probability, then x, then the flip pattern.
-    The generator is numpy's default PCG64; pass rng to override the
-    seed-derived stream (the harness derives one stream per frame).
+    Draw order is fixed, so the block is reproducible from rng's state alone:
+    first the per-block flip probability, then x, then the flip pattern. The
+    sweep and the simulate command derive one generator per frame from a seed.
     """
     if k <= 0:
         raise ValueError(f"block length must be positive, got {k}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     actual_p = float(rng.uniform(cfg.mean_p - cfg.delta_p, cfg.mean_p + cfg.delta_p))
     x = rng.integers(0, 2, size=k, dtype=np.uint8)
     flips = (rng.random(k) < actual_p).astype(np.uint8)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bp import KERNELS, _check_iters
-from .codes import CODE_REGISTRY, SparseParityMatrix, build_code, load_alist
+from .codes import CODE_REGISTRY, SparseParityMatrix, _is_int, _is_real, build_code, load_alist
 from .encoding import encode
 from .joint import joint_decode, non_iterative_decode
 from .sources import CorrelationConfig, binary_entropy, generate_pair
@@ -48,14 +47,6 @@ REFERENCE_TOTAL_RATES = {
 _CHUNK = 32  # frames evaluated per scheduling round, independent of workers
 
 _INT_FIELDS = ("frames", "error_frame_target", "max_local", "max_global", "seed", "build_seed")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 CSV_COLUMNS = [
@@ -339,6 +330,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     depend on the worker count. A zero frame budget produces rows with empty
     tallies.
     """
+    if not _is_int(workers):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     code_summaries = []

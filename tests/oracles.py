@@ -71,6 +71,17 @@ def gf2_rank(mat: np.ndarray) -> int:
     return r
 
 
+def four_cycle_free_ref(dense_h: np.ndarray, k: int) -> bool:
+    """True when no two of the first k columns share two rows: every
+    off-diagonal entry of the dense Gram matrix Hx^T Hx is at most 1.
+    float32 products are exact: every entry is a count of at most m rows,
+    far below 2**24."""
+    hx = np.asarray(dense_h, dtype=np.float32)[:, :k]
+    gram = hx.T @ hx
+    np.fill_diagonal(gram, 0)
+    return bool((gram <= 1).all())
+
+
 def quantize_ref(l: float, q: int = 3, s_max: int = 10000) -> int:
     """floor(2^q * l + 1/2) clipped to [-s_max, s_max], in exact arithmetic.
 

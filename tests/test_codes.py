@@ -1,14 +1,19 @@
 """Code registry, PEG construction, staircase invariants, alist i/o."""
 
 import io
+import os
+import subprocess
+import sys
+import textwrap
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import swldpc as sw
 from swldpc import _native
-from oracles import gf2_rank
+from oracles import four_cycle_free_ref, gf2_rank
 
 
 class TestCodeSpec:
@@ -47,10 +52,21 @@ class TestCodeSpec:
             sw.CodeSpec(id="x", k=10, n=10, dv_target=3.0, design_p=0.1)
         with pytest.raises(ValueError):
             sw.CodeSpec(id="x", k=10, n=20, dv_target=3.0, design_p=0.7)
+        # a float k or n failed later, inside numpy
+        with pytest.raises(ValueError, match="integers"):
+            sw.CodeSpec(id="x", k=100.0, n=150, dv_target=3.0, design_p=0.1)
+        with pytest.raises(ValueError, match="integers"):
+            sw.CodeSpec(id="x", k=100, n=150.0, dv_target=3.0, design_p=0.1)
+        spec = sw.CodeSpec(id="x", k=np.int64(100), n=np.int32(150), dv_target=3.0,
+                           design_p=0.1, degree_profile=((np.int64(3), np.int32(100)),))
+        assert sw.build_code(spec).column_weights()[:100].tolist() == [3] * 100
 
     def test_rate_x_must_match_geometry(self):
         with pytest.raises(ValueError, match="disagrees"):
             sw.CodeSpec(id="x", k=100, n=150, dv_target=3.0, design_p=0.05, rate_x=0.7)
+        with pytest.raises(ValueError, match="disagrees"):
+            sw.CodeSpec(id="x", k=100, n=150, dv_target=3.0, design_p=0.05,
+                        rate_x=float("nan"))
 
     def test_design_p_optional(self):
         spec = sw.CodeSpec(id="x", k=8, n=12, dv_target=2.0, design_p=None)
@@ -143,6 +159,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="degrees >= 1"):
             sw.CodeSpec(id="x", k=10, n=16, dv_target=3.0, design_p=0.05,
                         degree_profile=((0, 1), (3, 9)))
+        # a fractional degree was cut to an integer, a fractional count broke
+        # a numpy broadcast
+        for profile, dv in ((((2.5, 10),), 2.5), (((3, 5.5), (3, 4.5)), 3.0),
+                            (((True, 10),), 1.0)):
+            with pytest.raises(ValueError, match="integer degrees and counts"):
+                sw.CodeSpec(id="x", k=10, n=16, dv_target=dv, design_p=0.05,
+                            degree_profile=profile)
         spec = sw.CodeSpec(id="x", k=10, n=14, dv_target=3.0, design_p=0.05,
                            degree_profile=((1, 5), (5, 5)))
         with pytest.raises(sw.ConstructionError, match="exceeds the row count"):
@@ -165,6 +188,61 @@ class TestConstruction:
 
     def test_four_cycle_free_at_k1024(self, desk_code):
         assert desk_code.systematic_four_cycle_free()
+
+    def test_four_cycle_check_matches_dense_reference(self):
+        # Small, dense random codes, about two in five of them with
+        # four-cycles: the check must agree with the Gram matrix of Hx.
+        rng = np.random.default_rng(1414)
+        answers = []
+        for i in range(100):
+            k = int(rng.integers(8, 50))
+            m = int(rng.integers(4, k + 1))
+            dv = round(float(rng.uniform(1.0, min(4.0, m - 0.5))), 2)
+            spec = sw.CodeSpec(id=f"c{i}", k=k, n=k + m, dv_target=dv, design_p=None)
+            h = sw.build_code(spec, seed=i)
+            answers.append(h.systematic_four_cycle_free())
+            assert answers[-1] == four_cycle_free_ref(h.to_dense(), h.k), spec
+        assert 30 <= answers.count(False) <= 60
+
+    def test_four_cycle_check_on_larger_codes(self, desk_code, d2_code, ragged_code):
+        # the ragged code's layout is mostly pads
+        for h in (desk_code, d2_code, ragged_code):
+            assert h.systematic_four_cycle_free() == four_cycle_free_ref(h.to_dense(), h.k)
+
+    def test_four_cycle_check_on_hand_built_codes(self):
+        # Columns 2 and 3 share rows 0 and 1; row 2 is shorter, so it has a pad.
+        shared = sw.SparseParityMatrix(n_rows=3, n_cols=7, k=4,
+                                       rows=[[0, 2, 3, 4], [2, 3, 4, 5], [1, 5, 6]])
+        assert not shared.systematic_four_cycle_free()
+        assert not four_cycle_free_ref(shared.to_dense(), shared.k)
+        apart = sw.SparseParityMatrix(n_rows=3, n_cols=7, k=4,
+                                      rows=[[0, 2, 3, 4], [1, 2, 4, 5], [3, 5, 6]])
+        assert apart.systematic_four_cycle_free()
+        assert four_cycle_free_ref(apart.to_dense(), apart.k)
+
+    def test_runtime_needs_no_scipy(self):
+        # scipy is a test dependency only: building, encoding, decoding and
+        # the four-cycle check run on numpy alone.
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import swldpc as sw
+            h = sw.build_code(sw.get_code_spec("D1"), seed=0)
+            pair = sw.generate_pair(h.k, sw.CorrelationConfig(mean_p=0.02),
+                                    np.random.default_rng(5))
+            res = sw.joint_decode(h, sw.encode(h, pair.x), pair.y, h.design_p)
+            assert res.success and h.systematic_four_cycle_free()
+            print("scipy" in sys.modules)
+            """
+        )
+        src = str(Path(sw.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_deterministic_given_seed(self):
         # With an integral dv the seed has nothing to shuffle, so the result

@@ -267,6 +267,55 @@ class TestValidation:
         # a cap of 0 runs the bit-node update alone
         assert sw.joint_decode(desk_code, z, y, design_p=0.05, max_local=0).local_iters_total == 0
 
+    def test_decoders_reject_non_integer_caps(self, backend, desk_code):
+        # Caps are checked as integers before either backend sees them, so
+        # both raise the same ValueError (the compiled call raised a ctypes
+        # error, numpy a TypeError).
+        x, y, z = _frame(desk_code, 0.02, seed=3)
+        init = sw.init_from_side_info(y, z, sw.initial_alpha(0.05))
+        calls = [
+            lambda: sw.bp_decode(desk_code, init, 2.5),
+            lambda: sw.bp_decode(desk_code, init, True),
+            lambda: sw.joint_decode(desk_code, z, y, design_p=0.05, max_local=2.5),
+            lambda: sw.non_iterative_decode(desk_code, z, y, design_p=0.05, max_local=2.5),
+            lambda: sw.joint_decode(desk_code, z, y, design_p=0.05, max_global=2.5),
+            lambda: sw.joint_decode(desk_code, z, y, design_p=0.05, max_global="3"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
+
+    def test_decoders_accept_numpy_integer_caps(self, backend, desk_code):
+        x, y, z = _frame(desk_code, 0.06, seed=8)
+        init = sw.init_from_side_info(y, z, sw.initial_alpha(0.05))
+        a = sw.bp_decode(desk_code, init, np.int64(7))
+        b = sw.bp_decode(desk_code, init, 7)
+        assert a.iterations_used == b.iterations_used
+        assert np.array_equal(a.posterior.values, b.posterior.values)
+        a = sw.joint_decode(desk_code, z, y, design_p=0.05, max_global=np.int32(3),
+                            max_local=np.int64(7))
+        b = sw.joint_decode(desk_code, z, y, design_p=0.05, max_global=3, max_local=7)
+        assert a.final_state.trace == b.final_state.trace
+        assert np.array_equal(a.x_hat, b.x_hat)
+        a = sw.non_iterative_decode(desk_code, z, y, design_p=0.05, max_local=np.uint8(7))
+        b = sw.non_iterative_decode(desk_code, z, y, design_p=0.05, max_local=7)
+        assert a.final_state.trace == b.final_state.trace
+
+    def test_decoders_reject_missing_design_p(self, tmp_path):
+        # An alist whose header says design_p=none loads with design_p None;
+        # passing that on is the decoders' ValueError, not a TypeError.
+        spec = sw.CodeSpec(id="x", k=64, n=96, dv_target=3.0, design_p=None)
+        path = tmp_path / "none.alist"
+        sw.save_alist(sw.build_code(spec), path)
+        assert "design_p=none" in path.read_text().splitlines()[0]
+        h = sw.load_alist(path)
+        assert h.design_p is None
+        x, y, z = _frame(h, 0.02, seed=3)
+        for bad in (h.design_p, "0.05", float("nan")):
+            for call in (sw.joint_decode, sw.non_iterative_decode):
+                with pytest.raises(ValueError, match=r"design_p must lie in \(0, 0.5\)"):
+                    call(h, z, y, bad)
+
     def test_decoders_reject_local_cap_above_int32(self, backend, desk_code):
         # the compiled loop counts rounds in an int32; both backends share the bound
         x, y, z = _frame(desk_code, 0.02, seed=3)

@@ -181,6 +181,15 @@ class TestDeterminism:
     def test_csv_identical_across_worker_counts(self):
         assert self._csv(1) == self._csv(4)
 
+    def test_workers_must_be_a_positive_integer(self):
+        cfg = sw.SweepConfig(codes=["D1"], points=[(0.05, 0.0)], frames=4)
+        for workers in (2.5, True, "2"):
+            with pytest.raises(ValueError, match="workers must be an integer"):
+                sw.run_sweep(cfg, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sw.run_sweep(cfg, workers=np.int64(0))
+        assert self._csv(np.int64(2)) == self._csv(1)
+
     def test_seed_changes_results(self):
         cfg_a = sw.SweepConfig(codes=["D1"], points=[(0.05, 0.01)], frames=10, seed=1)
         cfg_b = sw.SweepConfig(codes=["D1"], points=[(0.05, 0.01)], frames=10, seed=2)
