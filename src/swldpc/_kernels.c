@@ -16,7 +16,7 @@
  * may run the kernels at once. Every function reproduces the numpy code bit
  * for bit; that code is the fallback when no compiler works and the oracle
  * the tests hold this file to. The file compiles without warnings under
- * -Wall -Wextra.
+ * -Wall -Wextra -Wconversion -Wsign-conversion.
  *
  * The check pass adds the correction table[min(|a +- b|, tmax)] to min-sum
  * without looking the table up: a non-increasing step table's entry at u is
@@ -41,24 +41,24 @@
 #endif
 
 /* The belief-propagation loop works on the code's padded edge layout, the
- * one form codes.SparseParityMatrix stores H in: an array of d x m entries,
- * entry t * m + i for the t-th edge of row i. cols holds each entry's column;
- * a row's real edges come first, in increasing column order, and its pads
- * sit on the sentinel column n. Messages use the same layout, so every step
- * of a row scan is one loop over all m rows, whose iterations are
- * independent and which the compiler can vectorise. Message arithmetic stays
- * in int32. The grid is fixed at s_max = 10000 with table[0] = 6 and
- * tmax = 22, so bp._bp_setup's pad is 10023 + 6 d_max; a scan value never
- * exceeds the pad in magnitude, and the pad stays below 2**30, so that
- * |a +- b| of any two values fits, for every row of fewer than 178 million
- * edges. */
+ * one form codes.SparseParityMatrix stores H in: an int32 array of d x m
+ * entries, entry t * m + i for the t-th edge of row i. cols holds each
+ * entry's column; a row's real edges come first, in increasing column order,
+ * and its pads sit on the sentinel column n, which fits an int32_t. Messages
+ * use the same layout, so every step of a row scan is one loop over all m
+ * rows, whose iterations are independent and which the compiler can
+ * vectorise. All arithmetic stays in int32, the column totals included. The
+ * grid is fixed at s_max = 10000 with table[0] = 6 and tmax = 22, so
+ * bp._bp_setup's pad is 10023 + 6 d_max; a scan value never exceeds the pad
+ * in magnitude, and the pad stays below 2**30, so that |a +- b| of any two
+ * values fits, for every row of fewer than 178 million edges. A column's
+ * total adds its channel value to one message per edge, each at most s_max
+ * in magnitude, so it fits while (degree + 1) s_max <= 2**31 - 1: for
+ * columns of up to 214,747 edges, the sentinel's pads counted as its edges.
+ * bp.py calls the BP loop only on matrices within that bound
+ * (SparseParityMatrix.int32_sums) and runs numpy on the others. */
 
-static inline int32_t clip(int64_t v, int32_t s_max)
-{
-    return (int32_t)(v > s_max ? s_max : (v < -s_max ? -s_max : v));
-}
-
-static inline int32_t clip32(int32_t v, int32_t s_max)
+static inline int32_t clip(int32_t v, int32_t s_max)
 {
     v = v > s_max ? s_max : v;
     return v < -s_max ? -s_max : v;
@@ -118,12 +118,12 @@ box_rows(int32_t m, const int32_t *a, const int32_t *b, int32_t *out, const int3
             int32_t v = box_minsum(a[i], b[i]);
             for (int32_t j = 0; j < NTHR; j++)
                 v += (u < thr[j]) - (w < thr[j]);
-            out[i] = clip_out ? clip32(v, s_max) : v;
+            out[i] = clip_out ? clip(v, s_max) : v;
         }
     } else {
         for (int32_t i = 0; i < m; i++) {
             int32_t v = box_minsum(a[i], b[i]);
-            out[i] = clip_out ? clip32(v, s_max) : v;
+            out[i] = clip_out ? clip(v, s_max) : v;
         }
     }
 }
@@ -131,27 +131,33 @@ box_rows(int32_t m, const int32_t *a, const int32_t *b, int32_t *out, const int3
 /* Bit-node update in the internal sign (positive favors 0): tot[j] is the
  * channel value plus every message into column j, and v2c that total less
  * the entry's own message, clipped, or pad on a pad. The sentinel's total
- * is 0. A bit is 1 when its total is negative. acc (m) is scratch. Returns
- * 1 when the bits satisfy every check. */
+ * starts at 0 and is reset to 0 after the sums, since it collects the pads'
+ * messages. A bit is 1 when its total is negative. acc (m) is scratch.
+ * Returns 1 when the bits satisfy every check. */
 static inline __attribute__((always_inline)) int32_t
-variable_pass(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
-              int32_t s_max, int32_t pad, const int32_t *c2v, int32_t *v2c, int64_t *tot,
+variable_pass(int32_t m, int32_t n, int32_t d, const int32_t *cols, const int32_t *llr,
+              int32_t s_max, int32_t pad, const int32_t *c2v, int32_t *v2c, int32_t *tot,
               int32_t *acc)
 {
     int64_t entries = (int64_t)d * m;
     for (int32_t j = 0; j < n; j++)
-        tot[j] = -(int64_t)llr[j];
+        tot[j] = -llr[j];
+    tot[n] = 0;
     for (int64_t e = 0; e < entries; e++)
         tot[cols[e]] += c2v[e];
     tot[n] = 0;
     for (int32_t i = 0; i < m; i++)
         acc[i] = 0;
     for (int32_t t = 0; t < d; t++) {
-        const intptr_t *col = cols + (int64_t)t * m;
+        const int32_t *col = cols + (int64_t)t * m;
         const int32_t *in = c2v + (int64_t)t * m;
         int32_t *out = v2c + (int64_t)t * m;
+        /* the gather from tot, which GCC's generic tuning leaves scalar,
+         * has a loop of its own, so that the loop after it vectorises */
+        for (int32_t i = 0; i < m; i++)
+            out[i] = tot[col[i]];
         for (int32_t i = 0; i < m; i++) {
-            int64_t v = tot[col[i]];
+            int32_t v = out[i];
             out[i] = col[i] < n ? clip(v - in[i], s_max) : pad;
             acc[i] ^= v < 0;
         }
@@ -189,17 +195,16 @@ check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad, const int32_t *thr,
  * messages in the padded layout and receives the last round's; the values
  * on pads are never read, since their sums land on the sentinel, whose
  * total is reset. pad is the box-plus identity on pads; table is NULL for
- * min-sum; max_iters is at least 0. work is scratch of n + 1 int64 values
- * followed by d m + m int32 values. Outputs the n hard decisions, the
- * clipped posterior (stored sign) and *ok; returns the number of rounds
- * run. */
+ * min-sum; max_iters is at least 0. Every column total must fit an int32_t,
+ * as the layout comment above says. work is scratch of n + 1 + d m + m int32
+ * values. Outputs the n hard decisions, the clipped posterior (stored sign)
+ * and *ok; returns the number of rounds run. */
 VECTOR_CLONES
-int32_t bp_run(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int32_t *llr,
+int32_t bp_run(int32_t m, int32_t n, int32_t d, const int32_t *cols, const int32_t *llr,
                int32_t s_max, int32_t pad, const int32_t *table, int32_t max_iters,
-               int32_t *c2v, int64_t *work, uint8_t *bits, int32_t *posterior, int32_t *ok)
+               int32_t *c2v, int32_t *work, uint8_t *bits, int32_t *posterior, int32_t *ok)
 {
-    int64_t *tot = work;
-    int32_t *v2c = (int32_t *)(work + n + 1), *acc = v2c + (int64_t)d * m;
+    int32_t *tot = work, *v2c = work + n + 1, *acc = v2c + (int64_t)d * m;
     int32_t thr_buf[NTHR], iters = 0;
     const int32_t *thr = thresholds(table, thr_buf);
     *ok = variable_pass(m, n, d, cols, llr, s_max, pad, c2v, v2c, tot, acc);
@@ -219,17 +224,17 @@ int32_t bp_run(int32_t m, int32_t n, int32_t d, const intptr_t *cols, const int3
  * columns: the channel values are level1 where y is 1 and level0 where it is
  * 0, and +-s_max on the parity bits as z says; then bp_run runs, warm from
  * the padded messages in c2v (all zero for a cold start), which it updates.
- * work is scratch of n + 1 int64 values followed by d m + m + n int32
- * values. Writes the hard decisions and posterior to bits and posterior, and
- * to stats the syndrome flag, whether the parity bits equal z, and the
- * number of systematic bits that differ from y; returns the rounds run. */
-int32_t side_info_pass(int32_t m, int32_t n, int32_t k, int32_t d, const intptr_t *cols,
+ * work is scratch of n + 1 + d m + m + n int32 values. Writes the hard
+ * decisions and posterior to bits and posterior, and to stats the syndrome
+ * flag, whether the parity bits equal z, and the number of systematic bits
+ * that differ from y; returns the rounds run. */
+int32_t side_info_pass(int32_t m, int32_t n, int32_t k, int32_t d, const int32_t *cols,
                        const uint8_t *y, const uint8_t *z, int32_t s_max, int32_t pad,
-                       const int32_t *table, int32_t *c2v, int64_t *work, uint8_t *bits,
+                       const int32_t *table, int32_t *c2v, int32_t *work, uint8_t *bits,
                        int32_t *posterior, int32_t *stats, int32_t level1, int32_t level0,
                        int32_t max_iters)
 {
-    int32_t *llr = (int32_t *)(work + n + 1) + (int64_t)d * m + m;
+    int32_t *llr = work + n + 1 + (int64_t)d * m + m;
     for (int32_t j = 0; j < k; j++)
         llr[j] = y[j] ? level1 : level0;
     for (int32_t j = k; j < n; j++)
@@ -249,13 +254,13 @@ int32_t side_info_pass(int32_t m, int32_t n, int32_t k, int32_t d, const intptr_
 /* Systematic encoding over the padded layout: z[i] is the parity of row i's
  * entries in the first k columns, the source bits x; the parity columns and
  * the sentinel read 0. Then z becomes its own prefix XOR. */
-void encode_run(int32_t m, int32_t k, int32_t d, const intptr_t *cols, const uint8_t *x,
+void encode_run(int32_t m, int32_t k, int32_t d, const int32_t *cols, const uint8_t *x,
                 uint8_t *z)
 {
     for (int32_t i = 0; i < m; i++)
         z[i] = 0;
     for (int32_t t = 0; t < d; t++) {
-        const intptr_t *col = cols + (int64_t)t * m;
+        const int32_t *col = cols + (int64_t)t * m;
         for (int32_t i = 0; i < m; i++)
             z[i] ^= col[i] < k ? x[col[i]] : 0;
     }

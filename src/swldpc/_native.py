@@ -15,8 +15,12 @@ run their numpy code instead.
 Each wrapper takes the arguments and returns the results of its numpy
 counterpart: bp_run those of bp._bp_loop, SideInfoPass those of
 bp._pass_numpy, encode those of encoding._encode_numpy and peg_place those
-of codes._place_edges. SideInfoPass takes its buffers' addresses once per
-frame, so that each pass of a joint decode is one short ctypes call.
+of codes._place_edges. The kernels read the matrix's int32 column array
+h.cols as it is stored, and keep the BP loop's column totals in int32
+scratch; bp.py hands them only matrices whose totals fit
+(SparseParityMatrix.int32_sums). SideInfoPass takes its buffers' addresses
+once per frame, so that each pass of a joint decode is one short ctypes
+call.
 """
 
 from __future__ import annotations
@@ -123,7 +127,8 @@ def _ptr(arr: np.ndarray) -> int:
 
 
 def bp_run(dll, h, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
-    """Run the whole BP loop in C on the padded edge matrix h.cols.
+    """Run the whole BP loop in C on the padded edge matrix h.cols, whose
+    column totals must fit int32 (h.int32_sums).
 
     llr holds the n stored channel values; pad is the box-plus identity the
     pads hold; table is the correction table with its trailing zero, or None
@@ -134,7 +139,7 @@ def bp_run(dll, h, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
     """
     d, m = h.cols.shape
     n = llr.size
-    work = np.empty(n + 1 + (d * m + m + 1) // 2, dtype=np.int64)
+    work = np.empty(n + 1 + d * m + m, dtype=np.int32)
     ok = ctypes.c_int32()
     iters = dll.bp_run(
         m, n, d, _ptr(h.cols), _ptr(llr), s_max, pad,
@@ -148,9 +153,10 @@ class SideInfoPass:
     """The compiled side_info_pass bound to one frame's buffers.
 
     The arguments up to posterior are those of bp._pass_numpy: the matrix,
-    the checked uint8 arrays y and z, s_max, pad, the table or None, the
-    padded int32 messages c2v, and the output arrays bits (uint8) and
-    posterior (int32), all C-contiguous and writable. The object keeps them
+    within the bound of h.int32_sums, the checked uint8 arrays y and z,
+    s_max, pad, the table or None, the padded int32 messages c2v, and the
+    output arrays bits (uint8) and posterior (int32), all C-contiguous and
+    writable. The object keeps them
     alive, owns the scratch the kernel needs and takes their addresses once,
     so that a call passes only the pass's own values. Calling it with
     (level1, level0, max_iters) runs one pass and returns (iterations,
@@ -161,7 +167,7 @@ class SideInfoPass:
         d, m = h.cols.shape
         n = bits.size
         self._keep = (h, y, z, table, c2v, bits, posterior)
-        self._work = np.empty(n + 1 + (d * m + m + n + 1) // 2, dtype=np.int64)
+        self._work = np.empty(n + 1 + d * m + m + n, dtype=np.int32)
         self._stats = np.empty(3, dtype=np.int32)
         self._fn = dll.side_info_pass
         self._args = (

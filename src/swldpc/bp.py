@@ -187,6 +187,13 @@ def _bp_setup(h: SparseParityMatrix, kernel: str):
             np.empty(h.n_cols, dtype=np.uint8), np.empty(h.n_cols, dtype=np.int32))
 
 
+def _bp_lib(h: SparseParityMatrix):
+    """The compiled kernels for BP on h, or None for the numpy loop: when
+    they cannot be built, or when h's column totals do not fit their int32
+    sums."""
+    return _native.lib() if h.int32_sums else None
+
+
 def _check_iters(max_iters: int, name: str, low: int = 0) -> None:
     if not _is_int(max_iters):
         raise ValueError(f"{name} must be an integer, got {max_iters!r}")
@@ -216,8 +223,9 @@ def bp_decode(
     the hard decisions are tested before any further round. Without c2v the
     run starts from the channel values alone.
 
-    The loop runs in the compiled kernel when swldpc.backend() is "c" and in
-    numpy otherwise; both give the same outcome bit for bit.
+    The loop runs in the compiled kernel when swldpc.backend() is "c" and h
+    is within its int32 bound (h.int32_sums), and in numpy otherwise; both
+    give the same outcome bit for bit.
     """
     _check_iters(max_local_iters, "max_local_iters")
     pad, table, padded, bits, post = _bp_setup(h, kernel)
@@ -231,7 +239,7 @@ def bp_decode(
             raise ValueError(f"c2v magnitudes must not exceed s_max={DEFAULT_S_MAX}")
         padded.T[h.valid.T] = c2v  # row-major edges outside
 
-    dll = _native.lib()
+    dll = _bp_lib(h)
     run = _bp_loop if dll is None else functools.partial(_native.bp_run, dll)
     # _native takes the addresses of writable buffers only
     llr = np.require(init.values, np.int32, "CW")
@@ -263,15 +271,17 @@ class SideInfoFrame:
     The passes continue from one set of check-to-variable messages, kept in
     the padded edge layout of h.cols; the first pass starts cold. hard_bits and
     posterior (stored sign) hold the last pass's n values and are overwritten
-    by the next pass. y and z must be checked 0/1 uint8 arrays of lengths k
-    and m. The compiled kernels are picked once, when the frame is made.
+    by the next pass. y and z must be 0/1 uint8 arrays of lengths k and m as
+    encoding.as_bit_array returns them, C-contiguous and writable; the passes
+    only read them. The compiled kernels are picked once, when the frame is
+    made.
     """
 
     def __init__(self, h: SparseParityMatrix, y: np.ndarray, z: np.ndarray,
                  kernel: str = "table"):
         pad, table, self.c2v, self.hard_bits, self.posterior = _bp_setup(h, kernel)
         args = (h, y, z, DEFAULT_S_MAX, pad, table, self.c2v, self.hard_bits, self.posterior)
-        dll = _native.lib()
+        dll = _bp_lib(h)
         self.run = (
             functools.partial(_pass_numpy, *args) if dll is None
             else _native.SideInfoPass(dll, *args)

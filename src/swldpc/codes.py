@@ -10,8 +10,8 @@ one forward pass.
 
 A SparseParityMatrix stores H in one form, the edge layout that encoding,
 the hard syndrome and belief propagation all walk: H's column indices as a
-padded (d_max, m) matrix whose pads point at a sentinel column n, read by
-the numpy code and the compiled kernels alike, built when the matrix is.
+padded (d_max, m) int32 matrix whose pads point at a sentinel column n, read
+by the numpy code and the compiled kernels alike, built when the matrix is.
 Its row_parity method is the one row-parity routine of the numpy code; the
 compiled encode and BP loops compute the same parities.
 
@@ -100,6 +100,10 @@ class CodeSpec:
             raise ValueError(f"k and n must be integers, got k={self.k!r}, n={self.n!r}")
         if self.k <= 0 or self.n <= self.k:
             raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
+        for name in ("dv_target", "design_p", "dc_target", "rate_x"):
+            value = getattr(self, name)
+            if not (_is_real(value) or (value is None and name != "dv_target")):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(self.dv_target):
             raise ValueError(f"dv_target must be finite, got {self.dv_target}")
         if self.design_p is not None and not 0.0 < self.design_p < 0.5:
@@ -160,17 +164,31 @@ def get_code_spec(code_id: str) -> CodeSpec:
         raise ValueError(f"unknown code id {code_id!r}; known: {sorted(CODE_REGISTRY)}") from None
 
 
+# The compiled BP loop sums each column's channel value and messages, every
+# one at most bp.DEFAULT_S_MAX = 10000 in magnitude, in int32: exact for a
+# column of d edges while (d + 1) * 10000 <= 2**31 - 1.
+_INT32_MAX = 2**31 - 1
+_INT32_SUM_DEGREE = _INT32_MAX // 10_000 - 1  # 214,747
+
+
 class SparseParityMatrix:
     """Sparse binary parity-check matrix H, stored as its padded edge layout.
 
-    cols has shape (d_max, m), transposed so that one step of a scan along
-    every row at once reads one contiguous array: cols[t, i] is the column of
-    the t-th one of row i, in strictly increasing column order. Rows with
-    fewer than d_max ones are padded with the sentinel column n, which reads
-    0 as a bit and whose sums are discarded. valid = cols < n marks the real
-    edges, of which there are edges; valid.T selects them in row-major order,
-    the order of H's edges outside this class and of rows. The numpy code and
-    the compiled kernels walk the same matrix.
+    cols is a C-contiguous int32 array of shape (d_max, m), transposed so
+    that one step of a scan along every row at once reads one contiguous
+    array: cols[t, i] is the column of the t-th one of row i, in strictly
+    increasing column order. Rows with fewer than d_max ones are padded with
+    the sentinel column n, which reads 0 as a bit and whose sums are
+    discarded; n must fit int32. valid = cols < n marks the real edges, of
+    which there are edges; valid.T selects them in row-major order, the order
+    of H's edges outside this class and of rows. The numpy code and the
+    compiled kernels walk the same array.
+
+    int32_sums tells whether the compiled BP loop's int32 column totals are
+    exact: whether no column has more than 214,747 edges, nor the sentinel
+    more pads. No column of a matrix with at most that many rows has more
+    edges than it has rows, so only a taller matrix reads its degrees, once,
+    when it is built. BP on a matrix past the bound runs in numpy.
 
     The first k columns are systematic; the trailing n_cols - k columns
     always form the staircase, which guarantees full row rank. The
@@ -203,10 +221,17 @@ class SparseParityMatrix:
         return mat
 
     def _set(self, n_cols, k, cols, design_p) -> None:
+        if n_cols > _INT32_MAX:
+            raise ValueError(f"n_cols={n_cols} leaves no int32 sentinel column")
         self.n_rows, self.n_cols, self.k, self.design_p = cols.shape[1], n_cols, k, design_p
-        self.cols = np.ascontiguousarray(cols, dtype=np.intp)
+        self.cols = np.ascontiguousarray(cols, dtype=np.int32)
         self.valid = self.cols < n_cols
         self.edges = int(np.count_nonzero(self.valid))
+        pads = self.cols.size - self.edges
+        self.int32_sums = pads <= _INT32_SUM_DEGREE and (
+            self.n_rows <= _INT32_SUM_DEGREE
+            or int(self.column_weights().max(initial=0)) <= _INT32_SUM_DEGREE
+        )
 
     @property
     def n(self) -> int:
@@ -219,7 +244,7 @@ class SparseParityMatrix:
     @property
     def rows(self) -> list:
         """The column indices of every row's ones, in increasing order, as int32 arrays."""
-        flat = self.cols.T[self.valid.T].astype(np.int32)
+        flat = self.cols.T[self.valid.T]
         return np.split(flat, np.cumsum(self.row_weights())[:-1]) if self.n_rows else []
 
     def __eq__(self, other) -> bool:
@@ -260,11 +285,12 @@ class SparseParityMatrix:
     def systematic_four_cycle_free(self) -> bool:
         """True when no two systematic columns share two rows."""
         # A row's columns increase with its pads last, so entries a < b with a
-        # systematic column at b pair two of its systematic columns.
+        # systematic column at b pair two of its systematic columns. The key
+        # is formed in int64: first * k wraps int32 once k >= 46,341.
         a, b = np.triu_indices(self.cols.shape[0], 1)
         first, second = self.cols[a], self.cols[b]
         sys_pair = second < self.k
-        pairs = first[sys_pair] * self.k + second[sys_pair]
+        pairs = first[sys_pair].astype(np.int64) * self.k + second[sys_pair]
         return np.unique(pairs).size == pairs.size
 
     def decode_plan(self) -> "SparseParityMatrix":

@@ -17,10 +17,22 @@ __all__ = ["encode", "compression_rate"]
 
 
 def as_bit_array(bits, length: int, name: str) -> np.ndarray:
-    """Validate and convert a bit sequence to a uint8 array of given length."""
+    """Validate and convert a bit sequence to a C-contiguous, writable uint8
+    array of given length.
+
+    The caller's array is read and never written. A uint8 array that is
+    already C-contiguous and writable is checked with one max() and returned
+    as it is, not copied, since a frame passes three of them; any other
+    input is compared with 0 and 1 and copied.
+    """
     arr = np.asarray(bits)
     if arr.ndim != 1 or arr.size != length:
         raise ValueError(f"{name} must be a flat sequence of {length} bits, got shape {arr.shape}")
+    if arr.dtype == np.uint8:
+        if arr.size and arr.max() > 1:
+            raise ValueError(f"{name} must contain only 0s and 1s")
+        flags = arr.flags
+        return arr if flags.c_contiguous and flags.writeable else arr.copy()
     if not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} must contain only 0s and 1s")
     return arr.astype(np.uint8)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import _is_int, _is_real
+
 __all__ = [
     "CorrelationConfig",
     "FramePair",
@@ -34,6 +36,9 @@ class CorrelationConfig:
     delta_p: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("mean_p", "delta_p"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         # NaN fails every comparison, so the range checks below would pass it
         if self.mean_p != self.mean_p or self.delta_p != self.delta_p:
             raise ValueError(
@@ -69,8 +74,8 @@ def generate_pair(k: int, cfg: CorrelationConfig, rng: np.random.Generator) -> F
     first the per-block flip probability, then x, then the flip pattern. The
     sweep and the simulate command derive one generator per frame from a seed.
     """
-    if k <= 0:
-        raise ValueError(f"block length must be positive, got {k}")
+    if not _is_int(k) or k <= 0:
+        raise ValueError(f"block length k must be a positive integer, got {k!r}")
     actual_p = float(rng.uniform(cfg.mean_p - cfg.delta_p, cfg.mean_p + cfg.delta_p))
     x = rng.integers(0, 2, size=k, dtype=np.uint8)
     flips = (rng.random(k) < actual_p).astype(np.uint8)

@@ -430,6 +430,58 @@ class TestBackendsAgree:
                             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert overruled > 0
 
+    @staticmethod
+    def _one_column_in_every_row(m, k=1):
+        """The padded layout of a code whose m rows each hold systematic
+        column i % k and the staircase: column 0 has degree ceil(m / k)."""
+        i = np.arange(m)
+        cols = np.stack([i % k, k + i - 1, k + i])
+        cols[1:, 0] = (k, k + m)  # row 0: one parity column, then a pad
+        return sw.SparseParityMatrix._from_cols(k + m, k, cols, None)
+
+    @pytest.mark.parametrize("degree,compiled", [(214_747, True), (214_748, False)])
+    def test_int32_total_bound(self, c_backend, monkeypatch, degree, compiled):
+        # The compiled loop sums a column's channel value and messages in
+        # int32, exact while (degree + 1) * s_max <= 2**31 - 1. Warm-started
+        # with every message at +s_max, column 0 totals degree * s_max plus
+        # its channel value, which the decoder negates: a stored -s_max
+        # reaches (degree + 1) * s_max. At the bound C must equal numpy; one
+        # edge past it, numpy must run.
+        h = self._one_column_in_every_row(degree)
+        assert h.column_weights()[0] == degree and h.int32_sums == compiled
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return compiled_run(*args)
+
+        compiled_run = _native.bp_run
+        c2v = np.full(h.edges, DEFAULT_S_MAX, dtype=np.int32)
+        for value in (-DEFAULT_S_MAX, DEFAULT_S_MAX):
+            init = sw.LlrqVector(np.full(h.n_cols, value, dtype=np.int32))
+            for iters in (0, 1):
+                runs = []
+                for lib in (c_backend, None):  # None: the numpy code
+                    with monkeypatch.context() as mp:
+                        mp.setattr(_native, "_lib", lib)
+                        mp.setattr(_native, "bp_run", spy)
+                        runs.append(sw.bp_decode(h, init, iters, c2v=c2v))
+                _assert_same_outcome(*runs)
+        assert len(calls) == (4 if compiled else 0)
+
+    def test_int32_bound_on_tall_and_padded_matrices(self):
+        # Past 214,747 rows the degrees decide; a tall matrix of light columns
+        # is in bounds, and so is any shorter one, unless its pads, which sum
+        # on the sentinel column, outnumber the bound.
+        assert self._one_column_in_every_row(214_748, k=2).int32_sums
+        pads = sw.SparseParityMatrix(
+            n_rows=2000, n_cols=2216, k=216,
+            rows=[list(range(217))] + [[215 + i, 216 + i] for i in range(1, 2000)],
+        )
+        assert pads.cols.size - pads.edges > 214_747 and not pads.int32_sums
+        assert (sw.codes._INT32_SUM_DEGREE + 1) * DEFAULT_S_MAX <= 2**31 - 1
+        assert (sw.codes._INT32_SUM_DEGREE + 2) * DEFAULT_S_MAX > 2**31 - 1
+
     def test_encode(self, c_backend, monkeypatch, toy_code, ragged_code):
         rng = np.random.default_rng(4005)
         for h in [toy_code, *self._codes(), ragged_code]:

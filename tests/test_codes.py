@@ -60,6 +60,14 @@ class TestCodeSpec:
         spec = sw.CodeSpec(id="x", k=np.int64(100), n=np.int32(150), dv_target=3.0,
                            design_p=0.1, degree_profile=((np.int64(3), np.int32(100)),))
         assert sw.build_code(spec).column_weights()[:100].tolist() == [3] * 100
+        # a string real field failed with TypeError inside a comparison or
+        # math.isfinite
+        fields = dict(id="x", k=100, n=150, dv_target=3.0, design_p=0.1)
+        for field, value in [("design_p", "0.05"), ("dv_target", "3"), ("dv_target", None),
+                             ("rate_x", "0.5"), ("dc_target", "8"), ("design_p", True)]:
+            with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+                sw.CodeSpec(**{**fields, field: value})
+        sw.CodeSpec(**{**fields, "design_p": np.float32(0.1), "dc_target": np.int64(6)})
 
     def test_rate_x_must_match_geometry(self):
         with pytest.raises(ValueError, match="disagrees"):
@@ -220,6 +228,22 @@ class TestConstruction:
         assert apart.systematic_four_cycle_free()
         assert four_cycle_free_ref(apart.to_dense(), apart.k)
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_four_cycle_check_past_int32_keys(self, shared):
+        # At k = 65,537 the pair keys first * k + second pass 2**31, and the
+        # distinct pairs (0, 65535) and (65535, 65536) have keys that agree
+        # modulo 2**32: an int32 key would see a four-cycle in either code.
+        k = 65537
+        sys_rows = [[0, 65535], [65535, 65536], [7, 65535 if shared else 9], [0, 7]]
+        if shared:
+            sys_rows[3].append(65535)  # columns 0 and 65535 share rows 0 and 3
+        rows = [r + [k + i - 1, k + i][i == 0:] for i, r in enumerate(sys_rows)]
+        h = sw.SparseParityMatrix(n_rows=4, n_cols=k + 4, k=k, rows=rows)
+        # the oracle's Gram matrix on the columns in use: the others are empty
+        used = np.unique(np.concatenate(sys_rows))
+        assert h.systematic_four_cycle_free() == (not shared)
+        assert four_cycle_free_ref(h.to_dense()[:, used], used.size) == (not shared)
+
     def test_runtime_needs_no_scipy(self):
         # scipy is a test dependency only: building, encoding, decoding and
         # the four-cycle check run on numpy alone.
@@ -265,7 +289,7 @@ class TestConstruction:
         with pytest.raises(sw.ConstructionError, match="dv_target"):
             sw.build_code(spec)
 
-    def test_matrix_invariants(self, small_code):
+    def test_matrix_invariants(self, small_code, ragged_code):
         h = small_code
         assert h.n_cols == h.k + h.n_rows
         weights = h.column_weights()
@@ -283,8 +307,18 @@ class TestConstruction:
         assert (h.cols[~h.valid] == h.n_cols).all()
         assert np.array_equal(h.cols.T[h.valid.T], np.concatenate(h.rows))
         assert h.edges == deg.sum()
-        # The compiled kernels take cols as it is: C-contiguous, pointer-sized.
-        assert h.cols.dtype == np.intp and h.cols.flags.c_contiguous
+        # The compiled kernels take cols as it is: C-contiguous int32, from
+        # build_code, the constructor and load_alist alike.
+        buf = io.StringIO()
+        sw.save_alist(ragged_code, buf)
+        for g in (h, ragged_code, sw.load_alist(io.StringIO(buf.getvalue()))):
+            assert g.cols.dtype == np.int32 and g.cols.flags.c_contiguous
+            assert g.int32_sums
+
+    def test_n_cols_must_leave_an_int32_sentinel(self):
+        cols = np.array([[0], [2**31 - 1]])
+        with pytest.raises(ValueError, match="int32 sentinel"):
+            sw.SparseParityMatrix._from_cols(2**31, 2**31 - 2, cols, None)
 
     def test_compiled_placement_matches_numpy(self, c_backend, monkeypatch):
         # Random geometries, BFS depths 1 to 6, two-valued and explicit

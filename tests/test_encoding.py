@@ -96,6 +96,21 @@ class TestEncode:
             with pytest.raises(ValueError, match="only 0s and 1s"):
                 as_bit_array(bits, 3, "bits")
 
+    def test_uint8_input_read_in_place(self, small_code):
+        # A C-contiguous, writable uint8 array is returned as it is; one the
+        # compiled kernels cannot take, read-only or strided, is copied.
+        k = small_code.k
+        x = np.zeros(2 * k, dtype=np.uint8)
+        x[::3] = 1
+        assert as_bit_array(x[:k], k, "x").base is x
+        frozen = x[:k].copy()
+        frozen.flags.writeable = False
+        for arr in (x[::2], frozen):
+            out = as_bit_array(arr, k, "x")
+            assert out.base is None and out.flags.c_contiguous and out.flags.writeable
+            assert np.array_equal(out, arr)
+            assert np.array_equal(sw.encode(small_code, arr), sw.encode(small_code, out))
+
     def test_throughput_scales_with_edges(self, desk_code, d2_code):
         # Soft linearity guard: a k=4096 code has ~4x the edges of the
         # k=1024 one, so per-edge cost should stay within a small factor.

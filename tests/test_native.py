@@ -173,7 +173,9 @@ def test_concurrent_joint_decodes_match_serial(d2_code):
 
 def test_kernels_compile_without_warnings(tmp_path):
     # The kernels build with warnings as errors, so a change that draws a
-    # warning from the compiler shows here rather than in a user's build.
+    # warning from the compiler shows here rather than in a user's build;
+    # -Wconversion and -Wsign-conversion catch an implicit narrowing in the
+    # int32 loops.
     probe = tmp_path / "probe.c"
     probe.write_text("int probe(void) { return 0; }\n")
     try:
@@ -186,8 +188,8 @@ def test_kernels_compile_without_warnings(tmp_path):
     if works.returncode != 0:
         pytest.skip(f"no working C compiler ({_native._CC}: {works.stderr.strip()})")
     built = subprocess.run(
-        [_native._CC, "-O3", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
-         "-o", str(tmp_path / "kernels.so"), str(_native._SOURCE)],
+        [_native._CC, "-O3", "-Wall", "-Wextra", "-Wconversion", "-Wsign-conversion", "-Werror",
+         "-shared", "-fPIC", "-o", str(tmp_path / "kernels.so"), str(_native._SOURCE)],
         capture_output=True, text=True, timeout=300,
     )
     assert built.returncode == 0, built.stderr

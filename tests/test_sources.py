@@ -28,10 +28,14 @@ class TestCorrelationConfig:
             (0.004, 0.005), # mean - delta goes negative
             (0.05, math.nan),  # fails no comparison
             (math.nan, 0.0),
+            ("0.1", 0.0),  # a string failed with TypeError inside a comparison
+            (0.1, "0"),
+            (None, 0.0),
+            (0.1, False),
         ],
     )
     def test_invalid_config_rejected(self, mean_p, delta_p):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mean_p|delta_p"):
             sw.CorrelationConfig(mean_p=mean_p, delta_p=delta_p)
 
 
@@ -45,6 +49,14 @@ class TestGeneratePair:
         assert pair.y.dtype == np.uint8
         assert set(np.unique(np.concatenate([pair.x, pair.y]))) <= {0, 1}
         assert 0.08 <= pair.actual_p <= 0.12
+
+    def test_block_length_must_be_a_positive_integer(self, rng):
+        # a float or a string failed with TypeError inside numpy
+        cfg = sw.CorrelationConfig(mean_p=0.1)
+        for k in (2.5, 64.0, "64", True, 0, -3):
+            with pytest.raises(ValueError, match="block length k must be a positive integer"):
+                sw.generate_pair(k, cfg, rng)
+        assert sw.generate_pair(np.int64(64), cfg, rng).x.size == 64
 
     def test_delta_zero_pins_actual_p(self, rng):
         cfg = sw.CorrelationConfig(mean_p=0.05, delta_p=0.0)
