@@ -42,8 +42,10 @@ print(f"staircase half is unit lower bidiagonal: {np.array_equal(hz, expected)}"
 
 # Short cycles hurt message passing. The placement keeps the systematic
 # subgraph free of length-4 cycles: no two source columns share two rows.
-hx = dense[:, : h.k].astype(np.int64)
-col_gram = hx.T @ hx
+# The Gram product runs in float64, which BLAS multiplies and which holds its
+# entries, counts of at most m, exactly.
+hx = dense[:, : h.k].astype(np.float64)
+col_gram = (hx.T @ hx).astype(np.int64)
 np.fill_diagonal(col_gram, 0)
 print(f"largest systematic column-pair overlap: {col_gram.max()} "
       f"(2 or more would be a 4-cycle among source bits)")

@@ -9,14 +9,13 @@
  * decisions with z and y, so that the Python between passes is small and
  * several decoding threads overlap. bp_run is the one BP loop, which
  * side_info_pass calls; it updates the check-to-variable messages in place,
- * in the padded layout below, and the row-major edge order of bp_decode's
- * public messages is known to bp.py alone. Iteration caps reach here
- * checked by bp._check_iters, so they fit an int32_t. Nothing here keeps
- * static state: every buffer is passed in by the caller, so several threads
- * may run the kernels at once. Every function reproduces the numpy code bit
- * for bit; that code is the fallback when no compiler works and the oracle
- * the tests hold this file to. The file compiles without warnings under
- * -Wall -Wextra -Wconversion -Wsign-conversion.
+ * in the padded layout below, the only form messages take. Iteration caps
+ * reach here checked by bp._check_iters, so they fit an int32_t. Nothing
+ * here keeps static state: every buffer is passed in by the caller, so
+ * several threads may run the kernels at once. Every function reproduces
+ * the numpy code bit for bit; that code is the fallback when no compiler
+ * works and the oracle the tests hold this file to. The file compiles
+ * without warnings under -Wall -Wextra -Wconversion -Wsign-conversion.
  *
  * The check pass adds the correction table[min(|a +- b|, tmax)] to min-sum
  * without looking the table up: a non-increasing step table's entry at u is

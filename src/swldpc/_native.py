@@ -16,11 +16,11 @@ Each wrapper takes the arguments and returns the results of its numpy
 counterpart: bp_run those of bp._bp_loop, SideInfoPass those of
 bp._pass_numpy, encode those of encoding._encode_numpy and peg_place those
 of codes._place_edges. The kernels read the matrix's int32 column array
-h.cols as it is stored, and keep the BP loop's column totals in int32
-scratch; bp.py hands them only matrices whose totals fit
-(SparseParityMatrix.int32_sums). SideInfoPass takes its buffers' addresses
-once per frame, so that each pass of a joint decode is one short ctypes
-call.
+h.cols as it is stored, take the messages in the same padded layout, and
+keep the BP loop's column totals in int32 scratch; bp.py hands them only
+matrices whose totals fit (SparseParityMatrix.int32_sums). SideInfoPass
+takes its buffers' addresses once per frame, so that each pass of a joint
+decode is one short ctypes call.
 """
 
 from __future__ import annotations

@@ -8,13 +8,15 @@ rule applies without degree-dependent sign flips. The check-node kernel is
 selectable: an exact pairwise reduction with a small integer correction
 table (default), or pure min-sum.
 
-bp_decode runs BP from a given LLR vector. side_info_pass runs one pass of
-the joint decoder on a SideInfoFrame, which holds a frame's side information
-and parity and the messages its passes share; it builds the channel values
+bp_decode runs BP cold from a given LLR vector. side_info_pass runs one
+pass of the joint decoder on a SideInfoFrame, which holds a frame's side
+information and parity and the messages its passes share, and is the one
+way to continue BP from earlier messages; it builds the channel values
 itself. Both go through one BP loop per backend, bp_run in _kernels.c and
 _bp_loop here, which take the same arguments: the code's matrix, the
 messages in its padded edge layout, updated in place, and output buffers
-for the hard bits and the posterior.
+for the hard bits and the posterior. Messages take no other form: the
+row-major edge order is only that of SparseParityMatrix.rows and the alist.
 """
 
 from __future__ import annotations
@@ -58,55 +60,42 @@ class LlrqVector:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        self.values = _exact_int32(self.values, "LLR values")
-        if self.values.ndim != 1:
+        arr = np.asarray(self.values)
+        if arr.dtype != np.int32:  # convert only what int32 holds exactly
+            with np.errstate(invalid="ignore"):  # NaN and inf then compare unequal
+                out = arr.astype(np.int32) if arr.dtype.kind in "biuf" else None
+            if out is None or not np.array_equal(out, arr):
+                raise ValueError("LLR values must be integers in the int32 range")
+            arr = out
+        if arr.ndim != 1:
             raise ValueError("LLR vector must be one-dimensional")
-        if _magnitude(self.values) > DEFAULT_S_MAX:
+        if arr.size and max(-int(arr.min()), int(arr.max())) > DEFAULT_S_MAX:
             raise ValueError(f"LLR magnitudes must not exceed s_max={DEFAULT_S_MAX}")
+        self.values = arr
 
 
 @dataclass
 class DecodeOutcome:
-    """Result of one belief-propagation run.
-
-    c2v holds the check-to-variable messages of the last round, one per edge
-    in row-major order, the order of np.concatenate(h.rows) (all zero when no
-    round ran from a cold start); passing it back to bp_decode warm-starts
-    the next run. The BP loop of either backend works on the padded edge
-    layout the matrix is stored in; bp_decode converts the messages to it
-    once on entry and back once on exit.
-    """
+    """Result of one cold belief-propagation run: the hard decisions, the
+    clipped posterior (stored sign), the rounds run and whether the hard
+    decisions satisfy every check. A run that must continue from its
+    messages is made on a SideInfoFrame instead."""
 
     hard_bits: np.ndarray
     posterior: LlrqVector
     iterations_used: int
     syndrome_ok: bool
-    c2v: np.ndarray | None = None
 
 
-def _exact_int32(values, what: str) -> np.ndarray:
-    """values as an int32 array, which must hold them exactly."""
-    arr = np.asarray(values)
-    if arr.dtype == np.int32:
-        return arr
-    with np.errstate(invalid="ignore"):  # NaN and inf then compare unequal
-        out = arr.astype(np.int32) if arr.dtype.kind in "biuf" else None
-    if out is None or not np.array_equal(out, arr):
-        raise ValueError(f"{what} must be integers in the int32 range")
-    return out
+_SCALE = 2**DEFAULT_Q
 
 
-def _magnitude(values: np.ndarray) -> int:
-    """Largest |value| of an int32 array, 0 when it is empty."""
-    return max(-int(values.min()), int(values.max())) if values.size else 0
-
-
-def quantize_llr(l: float, q: int = DEFAULT_Q, s_max: int = DEFAULT_S_MAX) -> int:
-    """Map a real LLR to the integer grid: floor(2**q * l + 0.5), clipped."""
+def quantize_llr(l: float) -> int:
+    """Map a real LLR to the decoder's grid: floor(2**DEFAULT_Q * l + 0.5),
+    clipped to +-DEFAULT_S_MAX."""
     if not math.isfinite(l):
         raise ValueError(f"LLR must be finite, got {l}")
-    v = math.floor(2**q * l + 0.5)
-    return max(-s_max, min(s_max, v))
+    return max(-DEFAULT_S_MAX, min(DEFAULT_S_MAX, math.floor(_SCALE * l + 0.5)))
 
 
 def make_correction_table(q: int) -> np.ndarray:
@@ -206,22 +195,17 @@ def bp_decode(
     init: LlrqVector,
     max_local_iters: int = 50,
     kernel: str = "table",
-    c2v: np.ndarray | None = None,
 ) -> DecodeOutcome:
-    """Flooding-schedule decoding with integer messages.
+    """Flooding-schedule decoding with integer messages, from a cold start.
 
-    Each round updates every check node and then every bit node; hard
+    The run starts from init's channel values alone, with every message
+    zero. Each round updates every check node and then every bit node; hard
     decisions are bit = 1 iff the posterior is positive (ties resolve to 0).
     The run stops as soon as the hard decisions satisfy every check, so a
     clean starting point reports zero iterations. All messages stay within
     [-DEFAULT_S_MAX, DEFAULT_S_MAX]. max_local_iters caps the rounds and
-    must lie in [0, 2**31 - 1].
-
-    c2v, the messages of an earlier run on the same code (DecodeOutcome.c2v),
-    warm-starts the run: the bit nodes are first updated from those messages
-    and init's channel values, so new channel values take effect at once and
-    the hard decisions are tested before any further round. Without c2v the
-    run starts from the channel values alone.
+    must lie in [0, 2**31 - 1]. To continue BP from earlier messages, run
+    side_info_pass on a SideInfoFrame.
 
     The loop runs in the compiled kernel when swldpc.backend() is "c" and h
     is within its int32 bound (h.int32_sums), and in numpy otherwise; both
@@ -231,14 +215,6 @@ def bp_decode(
     pad, table, padded, bits, post = _bp_setup(h, kernel)
     if init.values.size != h.n_cols:
         raise ValueError(f"init has {init.values.size} values for n={h.n_cols}")
-    if c2v is not None:
-        c2v = _exact_int32(c2v, "c2v")
-        if c2v.shape != (h.edges,):
-            raise ValueError(f"c2v has shape {c2v.shape} for {h.edges} edges")
-        if _magnitude(c2v) > DEFAULT_S_MAX:
-            raise ValueError(f"c2v magnitudes must not exceed s_max={DEFAULT_S_MAX}")
-        padded.T[h.valid.T] = c2v  # row-major edges outside
-
     dll = _bp_lib(h)
     run = _bp_loop if dll is None else functools.partial(_native.bp_run, dll)
     # _native takes the addresses of writable buffers only
@@ -249,7 +225,6 @@ def bp_decode(
         posterior=LlrqVector(post, k=init.k),
         iterations_used=iterations,
         syndrome_ok=ok,
-        c2v=padded.T[h.valid.T],
     )
 
 
@@ -271,14 +246,15 @@ class SideInfoFrame:
     The passes continue from one set of check-to-variable messages, kept in
     the padded edge layout of h.cols; the first pass starts cold. hard_bits and
     posterior (stored sign) hold the last pass's n values and are overwritten
-    by the next pass. y and z must be 0/1 uint8 arrays of lengths k and m as
-    encoding.as_bit_array returns them, C-contiguous and writable; the passes
-    only read them. The compiled kernels are picked once, when the frame is
-    made.
+    by the next pass. y and z are checked once, here, to be k and m bits,
+    and kept as encoding.as_bit_array returns them (y as the frame's y); the
+    passes only read them. The compiled kernels are picked once, when the
+    frame is made.
     """
 
-    def __init__(self, h: SparseParityMatrix, y: np.ndarray, z: np.ndarray,
-                 kernel: str = "table"):
+    def __init__(self, h: SparseParityMatrix, y, z, kernel: str = "table"):
+        z = as_bit_array(z, h.m, "parity block")
+        self.y = y = as_bit_array(y, h.k, "side information")
         pad, table, self.c2v, self.hard_bits, self.posterior = _bp_setup(h, kernel)
         args = (h, y, z, DEFAULT_S_MAX, pad, table, self.c2v, self.hard_bits, self.posterior)
         dll = _bp_lib(h)

@@ -181,8 +181,8 @@ class SparseParityMatrix:
     the sentinel column n, which reads 0 as a bit and whose sums are
     discarded; n must fit int32. valid = cols < n marks the real edges, of
     which there are edges; valid.T selects them in row-major order, the order
-    of H's edges outside this class and of rows. The numpy code and the
-    compiled kernels walk the same array.
+    of rows and of the alist. BP messages take this padded layout alone. The
+    numpy code and the compiled kernels walk the same array.
 
     int32_sums tells whether the compiled BP loop's int32 column totals are
     exact: whether no column has more than 214,747 edges, nor the sentinel

@@ -59,4 +59,4 @@ def _encode_numpy(h: SparseParityMatrix, x: np.ndarray) -> np.ndarray:
 
 def compression_rate(spec: CodeSpec) -> float:
     """Parity bits per source bit, (n - k) / k."""
-    return (spec.n - spec.k) / spec.k
+    return spec.exact_rate_x

@@ -166,13 +166,11 @@ def joint_decode(
     when it decoded, and final_state holds its estimate and the trace of
     every pass. max_global must lie in [1, 2**31 - 1], max_local in [0, 2**31 - 1].
     """
-    z = as_bit_array(z, h.m, "parity block")
-    y = as_bit_array(y, h.k, "side information")
+    frame = SideInfoFrame(h, y, z, kernel)
     _check_two_bits(h.k)
     _check_iters(max_global, "max_global", 1)
     _check_iters(max_local, "max_local")
     alpha = initial_alpha(design_p)
-    frame = SideInfoFrame(h, y, z, kernel)
 
     trace: list[GlobalIterationRecord] = []
     local_total = 0
@@ -183,7 +181,7 @@ def joint_decode(
         if decoded:
             est = _log_odds(out.disagreements, h.k)
         else:
-            est = _posterior_estimate(frame.posterior, y)
+            est = _posterior_estimate(frame.posterior, frame.y)
         trace.append(
             GlobalIterationRecord(
                 index=i, alpha=est.alpha, p_hat=est.p_hat, syndrome_ok=out.syndrome_ok
@@ -217,11 +215,9 @@ def non_iterative_decode(
     the baseline does no tracking, so none of it depends on how the joint
     loop re-estimates. max_local must be >= 0.
     """
-    z = as_bit_array(z, h.m, "parity block")
-    y = as_bit_array(y, h.k, "side information")
+    frame = SideInfoFrame(h, y, z, kernel)
     _check_two_bits(h.k)
     _check_iters(max_local, "max_local")
-    frame = SideInfoFrame(h, y, z, kernel)
     out = side_info_pass(frame, initial_alpha(design_p), max_local)
     est = _log_odds(out.disagreements, h.k)
     record = GlobalIterationRecord(

@@ -33,12 +33,6 @@ class TestQuantizer:
     def test_clipping(self):
         assert sw.quantize_llr(1e9) == 10000
         assert sw.quantize_llr(-1e9) == -10000
-        assert sw.quantize_llr(5.0, q=3, s_max=7) == 7
-
-    def test_q_scaling(self):
-        assert sw.quantize_llr(1.0, q=0) == 1
-        assert sw.quantize_llr(1.0, q=5) == 32
-        assert sw.quantize_llr(-2.1972245773362196, q=6) == -141
 
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -241,52 +235,43 @@ class TestBpDecode:
         assert out.syndrome_ok
         assert np.array_equal(out.hard_bits[small_code.k :], z)
 
-
     def test_warm_start_continues_the_same_run(self, desk_code):
-        # Splitting one run into 8 + 12 rounds, the second warm-started from
-        # the first one's messages, must reproduce a 20-round run exactly.
+        # Splitting one frame's run into passes of 8 and 12 rounds at one
+        # alpha, the second continuing from the first one's messages, must
+        # reproduce a 20-round pass on a fresh frame exactly.
         rng = np.random.default_rng(19)
         x = rng.integers(0, 2, desk_code.k).astype(np.uint8)
         y = (x ^ (rng.random(desk_code.k) < 0.075)).astype(np.uint8)
         z = sw.encode(desk_code, x)
-        init = sw.init_from_side_info(y, z, math.log(0.05 / 0.95))
-        whole = sw.bp_decode(desk_code, init, max_local_iters=20)
-        head = sw.bp_decode(desk_code, init, max_local_iters=8)
+        alpha = math.log(0.05 / 0.95)
+        whole = SideInfoFrame(desk_code, y, z)
+        whole_out = side_info_pass(whole, alpha, 20)
+        split = SideInfoFrame(desk_code, y, z)
+        head = side_info_pass(split, alpha, 8)
         assert not head.syndrome_ok and head.iterations_used == 8
-        tail = sw.bp_decode(desk_code, init, max_local_iters=12, c2v=head.c2v)
-        assert head.iterations_used + tail.iterations_used == whole.iterations_used
-        assert tail.syndrome_ok == whole.syndrome_ok
-        assert np.array_equal(tail.hard_bits, whole.hard_bits)
-        assert np.array_equal(tail.posterior.values, whole.posterior.values)
-        assert np.array_equal(tail.c2v, whole.c2v)
-        # All-zero messages are the cold start itself.
-        zero = sw.bp_decode(
-            desk_code, init, max_local_iters=20, c2v=np.zeros_like(head.c2v)
-        )
-        assert zero.iterations_used == whole.iterations_used
-        assert np.array_equal(zero.posterior.values, whole.posterior.values)
-        # A converged state is tested before any round: nothing left to do.
-        if whole.syndrome_ok:
-            again = sw.bp_decode(desk_code, init, c2v=whole.c2v)
-            assert again.syndrome_ok and again.iterations_used == 0
-            assert np.array_equal(again.hard_bits, whole.hard_bits)
+        tail = side_info_pass(split, alpha, 12)
+        assert head.iterations_used + tail.iterations_used == whole_out.iterations_used
+        assert tail[1:] == whole_out[1:]
+        for a, b in ((split.hard_bits, whole.hard_bits), (split.posterior, whole.posterior),
+                     (split.c2v[desk_code.valid], whole.c2v[desk_code.valid])):
+            assert np.array_equal(a, b)
+        # A decoded state is tested before any round: nothing left to do.
+        assert whole_out.syndrome_ok
+        bits = whole.hard_bits.copy()
+        again = side_info_pass(whole, alpha, 50)
+        assert again.syndrome_ok and again.iterations_used == 0
+        assert np.array_equal(whole.hard_bits, bits)
 
-    def test_warm_start_validation(self, toy_code):
-        init = sw.init_from_side_info(
-            np.zeros(toy_code.k, np.uint8), np.zeros(toy_code.n_rows, np.uint8), -2.9
-        )
-        edges = sum(len(r) for r in toy_code.rows)
-        with pytest.raises(ValueError, match="shape"):
-            sw.bp_decode(toy_code, init, c2v=np.zeros(edges - 1, np.int32))
-        with pytest.raises(ValueError, match="s_max"):
-            sw.bp_decode(toy_code, init, c2v=np.full(edges, 10001, np.int32))
-        # int64 and float messages that int32 cannot hold exactly are refused,
-        # not wrapped or truncated
-        for bad in (np.full(edges, 2**32 + 7, np.int64), np.full(edges, 0.5)):
-            with pytest.raises(ValueError, match="int32"):
-                sw.bp_decode(toy_code, init, c2v=bad)
-        exact = sw.bp_decode(toy_code, init, c2v=np.full(edges, 7, np.int64))
-        assert exact.c2v.dtype == np.int32
+    def test_frame_checks_side_info_and_parity(self, toy_code):
+        # The compiled pass reads k bytes of y and m of z: shorter arrays, or
+        # values other than bits, are refused when the frame is made.
+        y, z = np.zeros(toy_code.k, np.uint8), np.zeros(toy_code.m, np.uint8)
+        for bad_y, bad_z in ((y[:-1], z), (y, z[:-1]), (y + 2, z), (y, z.astype(np.int64) - 1)):
+            with pytest.raises(ValueError, match="side information|parity block"):
+                SideInfoFrame(toy_code, bad_y, bad_z)
+        frame = SideInfoFrame(toy_code, y.astype(np.int64), z.tolist())
+        assert frame.y.dtype == np.uint8
+        assert side_info_pass(frame, -2.9, 5) == (0, True, True, 0)
 
 
 def _noisy_frame(h, p, seed):
@@ -305,8 +290,7 @@ def _one_edge_row_code():
 def _assert_same_outcome(got, want):
     assert got.iterations_used == want.iterations_used
     assert got.syndrome_ok == want.syndrome_ok
-    for a, b in ((got.hard_bits, want.hard_bits), (got.c2v, want.c2v),
-                 (got.posterior.values, want.posterior.values)):
+    for a, b in ((got.hard_bits, want.hard_bits), (got.posterior.values, want.posterior.values)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert got.posterior.k == want.posterior.k
 
@@ -339,7 +323,8 @@ def _on_grid(kernel):
 
 
 class TestReferenceDecoder:
-    """bp_decode against the unpadded, row-by-row decoder of oracles.py."""
+    """bp_decode and the joint decoder's passes against the unpadded,
+    row-by-row decoder of oracles.py."""
 
     @pytest.mark.parametrize("kernel", ["table", "minsum"], ids=_on_grid)
     def test_matches_reference(self, backend, toy_code, small_code, ragged_code, kernel):
@@ -348,18 +333,25 @@ class TestReferenceDecoder:
         for h, frames in cases:
             for seed in range(frames):
                 _, y, z = _noisy_frame(h, 0.08, seed)
-                start = None  # a cold run, then one warm from its messages at another alpha
+                frame = SideInfoFrame(h, y, z, kernel)
+                start = None  # a cold pass, then one warm from its messages at another alpha
                 for p in (0.08, 0.03):
-                    init = sw.init_from_side_info(y, z, math.log(p / (1 - p)))
-                    out = sw.bp_decode(h, init, max_local_iters=12, kernel=kernel, c2v=start)
+                    alpha = math.log(p / (1 - p))
+                    init = sw.init_from_side_info(y, z, alpha)
+                    out = side_info_pass(frame, alpha, 12)
                     bits, rounds, ok, post, c2v = bp_ref(
                         h.rows, init.values, DEFAULT_S_MAX, table, 12, c2v=start
                     )
                     assert out.iterations_used == rounds and out.syndrome_ok == ok
-                    assert out.hard_bits.tolist() == bits
-                    assert out.posterior.values.tolist() == post
-                    assert out.c2v.tolist() == c2v
-                    start = out.c2v
+                    assert frame.hard_bits.tolist() == bits
+                    assert frame.posterior.tolist() == post
+                    start = frame.c2v.T[h.valid.T]  # the messages in row order
+                    assert start.tolist() == c2v
+                    if p == 0.08:
+                        cold = sw.bp_decode(h, init, max_local_iters=12, kernel=kernel)
+                        assert cold.iterations_used == rounds and cold.syndrome_ok == ok
+                        assert cold.hard_bits.tolist() == bits
+                        assert cold.posterior.values.tolist() == post
 
 
 class TestBackendsAgree:
@@ -379,22 +371,21 @@ class TestBackendsAgree:
         return codes
 
     def test_random_codes(self, c_backend, monkeypatch):
-        # Cold runs and runs warm-started from their messages.
+        # Cold runs at the design alpha and at the frame's own; passes that
+        # continue from earlier messages are test_side_info_passes'.
         for c, h in enumerate(self._codes()):
             for f in range(3):
                 p = 0.03 + 0.04 * f
                 _, y, z = _noisy_frame(h, p, [c, f])
-                cold_init = sw.init_from_side_info(y, z, math.log(0.05 / 0.95))
-                warm_init = sw.init_from_side_info(y, z, math.log(p / (1 - p)))
+                inits = [sw.init_from_side_info(y, z, math.log(r / (1 - r))) for r in (0.05, p)]
                 for kernel in ("table", "minsum"):
                     for iters in (0, 1, 2, 7, 50):
                         runs = []
                         for lib in (c_backend, None):  # None: the numpy code
                             with monkeypatch.context() as mp:
                                 mp.setattr(_native, "_lib", lib)
-                                cold = sw.bp_decode(h, cold_init, iters, kernel)
-                                warm = sw.bp_decode(h, warm_init, iters, kernel, c2v=cold.c2v)
-                            runs.append((cold, warm))
+                                runs.append([sw.bp_decode(h, init, iters, kernel)
+                                             for init in inits])
                         for got, want in zip(*runs):
                             _assert_same_outcome(got, want)
 
@@ -442,32 +433,38 @@ class TestBackendsAgree:
     @pytest.mark.parametrize("degree,compiled", [(214_747, True), (214_748, False)])
     def test_int32_total_bound(self, c_backend, monkeypatch, degree, compiled):
         # The compiled loop sums a column's channel value and messages in
-        # int32, exact while (degree + 1) * s_max <= 2**31 - 1. Warm-started
-        # with every message at +s_max, column 0 totals degree * s_max plus
-        # its channel value, which the decoder negates: a stored -s_max
-        # reaches (degree + 1) * s_max. At the bound C must equal numpy; one
-        # edge past it, numpy must run.
+        # int32, exact while (degree + 1) * s_max <= 2**31 - 1. On a frame
+        # whose messages all hold +s_max, column 0 totals degree * s_max plus
+        # its channel value, which the decoder negates. alpha = 1e4 quantizes
+        # to +-s_max, so y = 0 (a stored -s_max) reaches (degree + 1) * s_max.
+        # At the bound C must equal numpy; one edge past it, numpy must run.
         h = self._one_column_in_every_row(degree)
         assert h.column_weights()[0] == degree and h.int32_sums == compiled
-        calls = []
+        assert sw.quantize_llr(1e4) == DEFAULT_S_MAX
+        made = []
 
         def spy(*args):
-            calls.append(1)
-            return compiled_run(*args)
+            made.append(1)
+            return compiled_pass(*args)
 
-        compiled_run = _native.bp_run
-        c2v = np.full(h.edges, DEFAULT_S_MAX, dtype=np.int32)
-        for value in (-DEFAULT_S_MAX, DEFAULT_S_MAX):
-            init = sw.LlrqVector(np.full(h.n_cols, value, dtype=np.int32))
+        compiled_pass = _native.SideInfoPass
+        for bit in (0, 1):
+            y, z = np.full(h.k, bit, np.uint8), np.full(h.m, bit, np.uint8)
             for iters in (0, 1):
                 runs = []
                 for lib in (c_backend, None):  # None: the numpy code
                     with monkeypatch.context() as mp:
                         mp.setattr(_native, "_lib", lib)
-                        mp.setattr(_native, "bp_run", spy)
-                        runs.append(sw.bp_decode(h, init, iters, c2v=c2v))
-                _assert_same_outcome(*runs)
-        assert len(calls) == (4 if compiled else 0)
+                        mp.setattr(_native, "SideInfoPass", spy)
+                        frame = SideInfoFrame(h, y, z)
+                    frame.c2v[h.valid] = DEFAULT_S_MAX
+                    out = side_info_pass(frame, 1e4, iters)
+                    runs.append((out, frame.hard_bits, frame.posterior, frame.c2v[h.valid]))
+                (got, *got_arrays), (want, *want_arrays) = runs
+                assert got == want
+                for a, b in zip(got_arrays, want_arrays):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert len(made) == (4 if compiled else 0)
 
     def test_int32_bound_on_tall_and_padded_matrices(self):
         # Past 214,747 rows the degrees decide; a tall matrix of light columns
@@ -551,10 +548,20 @@ def _digest(*items) -> bytes:
     return md.hexdigest().encode()
 
 
-def _outcome_digest(out) -> bytes:
-    return _digest(
-        out.hard_bits, out.iterations_used, out.syndrome_ok, out.posterior.values, out.c2v
-    )
+def _pass_digest(h, frame, out) -> bytes:
+    """The digest of a pass on frame: its hard bits, rounds, syndrome flag,
+    posterior and messages, these in row order."""
+    return _digest(frame.hard_bits, out.iterations_used, out.syndrome_ok, frame.posterior,
+                   frame.c2v.T[h.valid.T])
+
+
+def _assert_cold_run_is_first_pass(h, y, z, alpha, iters, kernel, frame, out):
+    """bp_decode from init_from_side_info(y, z, alpha) equals the first pass
+    out on frame, field by field."""
+    cold = sw.bp_decode(h, sw.init_from_side_info(y, z, alpha), iters, kernel)
+    assert (cold.iterations_used, cold.syndrome_ok) == (out.iterations_used, out.syndrome_ok)
+    assert np.array_equal(cold.hard_bits, frame.hard_bits)
+    assert np.array_equal(cold.posterior.values, frame.posterior)
 
 
 class TestGoldenOutputs:
@@ -581,12 +588,14 @@ class TestGoldenOutputs:
     def test_bp_decode_cold_and_warm(self, request, code, kernel):
         h = request.getfixturevalue(code)
         md = hashlib.sha256()
+        design = math.log(0.05 / 0.95)
         for p, x, y, z in self._frames(h):
-            cold_init = sw.init_from_side_info(y, z, math.log(0.05 / 0.95))
-            cold = sw.bp_decode(h, cold_init, max_local_iters=12, kernel=kernel)
-            warm_init = sw.init_from_side_info(y, z, math.log(p / (1 - p)))
-            warm = sw.bp_decode(h, warm_init, kernel=kernel, c2v=cold.c2v)
-            md.update(_outcome_digest(cold) + _outcome_digest(warm))
+            frame = SideInfoFrame(h, y, z, kernel)
+            cold = side_info_pass(frame, design, 12)
+            _assert_cold_run_is_first_pass(h, y, z, design, 12, kernel, frame, cold)
+            md.update(_pass_digest(h, frame, cold))
+            warm = side_info_pass(frame, math.log(p / (1 - p)), 50)
+            md.update(_pass_digest(h, frame, warm))
         assert md.hexdigest() == GOLDEN[f"{code}-{kernel}"]
 
     @pytest.mark.parametrize("kernel", ["table", "minsum"])
@@ -595,6 +604,7 @@ class TestGoldenOutputs:
         # and 7 rounds: a pad leaking into a row's parity shows here first.
         rng = np.random.default_rng(2024)
         md = hashlib.sha256()
+        design = math.log(0.05 / 0.95)
         for i in range(40):
             k = int(rng.integers(8, 40))
             m = int(rng.integers(4, k + 1))
@@ -602,11 +612,11 @@ class TestGoldenOutputs:
             spec = sw.CodeSpec(id=f"r{i}", k=k, n=k + m, dv_target=dv, design_p=0.1)
             h = sw.build_code(spec, seed=i)
             for p, x, y, z in self._frames(h, every=4):
-                init = sw.init_from_side_info(y, z, math.log(0.05 / 0.95))
                 for iters in (1, 2, 7):
-                    md.update(_outcome_digest(
-                        sw.bp_decode(h, init, max_local_iters=iters, kernel=kernel)
-                    ))
+                    frame = SideInfoFrame(h, y, z, kernel)
+                    out = side_info_pass(frame, design, iters)
+                    _assert_cold_run_is_first_pass(h, y, z, design, iters, kernel, frame, out)
+                    md.update(_pass_digest(h, frame, out))
         assert md.hexdigest() == GOLDEN[f"small-{kernel}"]
 
     def test_joint_decode(self, desk_code):

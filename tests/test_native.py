@@ -126,8 +126,8 @@ def test_concurrent_decodes_match_serial(desk_code):
     assert not any(t.is_alive() for t in threads)
     for got, want in zip(results, serial):
         assert got.iterations_used == want.iterations_used
+        assert np.array_equal(got.hard_bits, want.hard_bits)
         assert np.array_equal(got.posterior.values, want.posterior.values)
-        assert np.array_equal(got.c2v, want.c2v)
 
 
 def test_concurrent_joint_decodes_match_serial(d2_code):
