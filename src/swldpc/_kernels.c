@@ -80,10 +80,12 @@ static inline int32_t box_minsum(int32_t a, int32_t b)
  * that looks the table up loads one entry per lane, which GCC's generic
  * tuning does as scalar code; a fixed NTHR compares in place of the load
  * keep it vectorised, where a count that varies at run time is slower than
- * the lookup. thresholds() writes T_1 .. T_table[0] to thr and zeros after
- * them, which count for no u >= 0, and returns thr; it returns NULL for
- * min-sum. The table must have table[0] <= NTHR, as the decoder's has. */
-#define NTHR 8
+ * the lookup. NTHR is the decoder's table[0], so that no compare is spent
+ * on a threshold that counts for nothing. thresholds() writes T_1 ..
+ * T_table[0] to thr and zeros after them, which count for no u >= 0, and
+ * returns thr; it returns NULL for min-sum. The table must have
+ * table[0] <= NTHR, as the decoder's has. */
+#define NTHR 6
 
 static inline const int32_t *thresholds(const int32_t *table, int32_t *thr)
 {
@@ -275,9 +277,20 @@ void encode_run(int32_t m, int32_t k, int32_t d, const int32_t *cols, const uint
  * the search reaches every check, to one found at its last level; ties go to
  * the lightest check, then the lowest index. Checks list their edges through
  * chk_head and next. A node belongs to the current search when its seen_*
- * entry equals the search's stamp. front (m) holds the checks reached, level
- * after level; vars (k) the columns of one level. The caller zeroes chk_deg,
- * seen_c and seen_v. Returns 0, or -1 when an edge has no admissible check. */
+ * entry equals the search's stamp. front holds the checks reached, level
+ * after level; vars the columns of one level. The caller zeroes chk_deg,
+ * seen_c and seen_v. Returns 0, or -1 when an edge has no admissible check.
+ *
+ * Whether a node is new follows no pattern a branch predictor learns, so
+ * both half-levels of a search append without a branch: each node is stored
+ * at its list's end, and the end advances only when the node is new. Once a
+ * search has reached every check, its next store lands on front[m], so front
+ * holds m + 1 entries; vars holds k, since a level holds at most the k - 1
+ * other columns. The lightest unseen check is found in two passes for the
+ * same reason: the least degree over unseen checks, without a branch, then
+ * the first unseen check of that degree, a scan whose one branch is taken
+ * once. That check is the (degree, index) minimum, the one a single scan
+ * finds that replaces its pick only on a strictly lower degree. */
 int32_t peg_place(int32_t k, int32_t m, int32_t max_levels, const int32_t *var_ptr,
                   const int32_t *edge_var, int32_t *edge_chk, int32_t *chk_deg,
                   int32_t *chk_head, int32_t *next, int32_t *seen_c, int32_t *seen_v,
@@ -298,17 +311,19 @@ int32_t peg_place(int32_t k, int32_t m, int32_t max_levels, const int32_t *var_p
             for (int32_t level = 0; placed && level < max_levels; level++) {
                 int32_t nv = 0, nc = hi;
                 for (int32_t f = lo; f < hi; f++)
-                    for (int32_t x = chk_head[front[f]]; x >= 0; x = next[x])
-                        if (seen_v[edge_var[x]] != stamp) {
-                            seen_v[edge_var[x]] = stamp;
-                            vars[nv++] = edge_var[x];
-                        }
+                    for (int32_t x = chk_head[front[f]]; x >= 0; x = next[x]) {
+                        int32_t u = edge_var[x];
+                        vars[nv] = u;
+                        nv += seen_v[u] != stamp;
+                        seen_v[u] = stamp;
+                    }
                 for (int32_t a = 0; a < nv; a++)
-                    for (int32_t x = var_ptr[vars[a]]; x < var_ptr[vars[a] + 1]; x++)
-                        if (seen_c[edge_chk[x]] != stamp) {
-                            seen_c[edge_chk[x]] = stamp;
-                            front[nc++] = edge_chk[x];
-                        }
+                    for (int32_t x = var_ptr[vars[a]]; x < var_ptr[vars[a] + 1]; x++) {
+                        int32_t c = edge_chk[x];
+                        front[nc] = c;
+                        nc += seen_c[c] != stamp;
+                        seen_c[c] = stamp;
+                    }
                 if (nc == hi)
                     break;
                 lo = hi;
@@ -324,9 +339,16 @@ int32_t peg_place(int32_t k, int32_t m, int32_t max_levels, const int32_t *var_p
                         (chk_deg[front[f]] == chk_deg[best] && front[f] < best))
                         best = front[f];
             } else {
-                for (int32_t c = 0; c < m; c++)
-                    if (seen_c[c] != stamp && (best < 0 || chk_deg[c] < chk_deg[best]))
+                int32_t least = INT32_MAX;
+                for (int32_t c = 0; c < m; c++) {
+                    int32_t deg = seen_c[c] != stamp ? chk_deg[c] : INT32_MAX;
+                    least = deg < least ? deg : least;
+                }
+                for (int32_t c = 0; least < INT32_MAX; c++)
+                    if ((seen_c[c] != stamp) & (chk_deg[c] == least)) {
                         best = c;
+                        break;
+                    }
             }
             if (best < 0)
                 return -1;

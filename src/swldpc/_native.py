@@ -194,14 +194,21 @@ def encode(dll, h, x):
 def peg_place(dll, degrees: np.ndarray, m: int, max_levels: int) -> np.ndarray | None:
     """The check of every systematic edge, in placement order (column after
     column), as codes._place_edges computes it; None when some edge has no
-    admissible check."""
+    admissible check.
+
+    The kernel's scratch front holds m + 1 checks and vars k columns: its
+    searches append without a branch, storing each node at the list's end
+    and advancing the end only when the node is new, so a search that
+    reaches every check stores once more, to front[m].
+    """
     k = degrees.size
     var_ptr = np.zeros(k + 1, dtype=np.int32)
     np.cumsum(degrees, out=var_ptr[1:])
     edges = int(var_ptr[-1])
     edge_var = np.repeat(np.arange(k, dtype=np.int32), degrees)
     edge_chk = np.empty(edges, dtype=np.int32)
-    chk_deg, chk_head, seen_c, front = (np.zeros(m, dtype=np.int32) for _ in range(4))
+    chk_deg, chk_head, seen_c = (np.zeros(m, dtype=np.int32) for _ in range(3))
+    front = np.empty(m + 1, dtype=np.int32)
     seen_v, vars_ = np.zeros(k, dtype=np.int32), np.empty(k, dtype=np.int32)
     nxt = np.empty(edges, dtype=np.int32)
     status = dll.peg_place(

@@ -270,10 +270,10 @@ def side_info_pass(frame: SideInfoFrame, alpha: float, max_iters: int) -> PassOu
     The systematic channel values are those of init_from_side_info: the
     quantized LLR (2*y - 1) * |alpha|; the parity bits saturate to
     (2*z - 1) * DEFAULT_S_MAX. The pass runs at most max_iters rounds, which
-    must lie in [0, 2**31 - 1] (not checked here), continuing from the
-    frame's messages, and leaves its hard decisions and posterior in the
-    frame.
+    must lie in [0, 2**31 - 1], continuing from the frame's messages, and
+    leaves its hard decisions and posterior in the frame.
     """
+    _check_iters(max_iters, "max_iters")
     a = abs(alpha)
     return PassOutcome(*frame.run(quantize_llr(a), quantize_llr(-a), max_iters))
 

@@ -64,13 +64,13 @@ class TestCorrectionTable:
         # The compiled check pass counts the thresholds T_j = min{u : table[u] < j},
         # j = 1 .. table[0], above u in place of the lookup table[min(u, tmax)].
         # The identity holds for every table of the family; the pass counts a
-        # fixed 8 thresholds, which only tables up to q = 3 stay within, and the
+        # fixed 6 thresholds, which only tables up to q = 3 stay within, and the
         # decoder's own table is the q = DEFAULT_Q one. Tables carry the
         # decoder's trailing zero, so that clipped lookups find no correction.
         table = np.append(sw.make_correction_table(q), np.int32(0))
         if q == DEFAULT_Q:
-            assert np.array_equal(table, _TABLE) and table[0] <= 8
-        assert (table[0] <= 8) == (q <= 3)
+            assert np.array_equal(table, _TABLE) and table[0] <= 6
+        assert (table[0] <= 6) == (q <= 3)
         tmax = table.size - 1
         thr = [int(np.argmax(table < j)) for j in range(1, table[0] + 1)]
         u = np.arange(3 * tmax + 1)
@@ -272,6 +272,18 @@ class TestBpDecode:
         frame = SideInfoFrame(toy_code, y.astype(np.int64), z.tolist())
         assert frame.y.dtype == np.uint8
         assert side_info_pass(frame, -2.9, 5) == (0, True, True, 0)
+
+    def test_pass_checks_its_cap(self, backend, desk_code):
+        # A cap outside [0, 2**31 - 1] is refused before any round runs, on
+        # both backends: ctypes would wrap 2**32 + 3 to 3 rounds in C, and
+        # numpy would run up to 2**32 + 3 on a frame that does not decode.
+        _, y, z = _noisy_frame(desk_code, 0.3, 5)
+        frame = SideInfoFrame(desk_code, y, z)
+        for bad in (2**32 + 3, 2**31, -5, -1, 2.0):
+            with pytest.raises(ValueError, match="max_iters"):
+                side_info_pass(frame, -2.9, bad)
+            assert not frame.c2v.any()
+        assert side_info_pass(frame, -2.9, 3)[:2] == (3, False)
 
 
 def _noisy_frame(h, p, seed):

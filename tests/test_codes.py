@@ -342,6 +342,22 @@ class TestConstruction:
                 mp.setattr(_native, "_lib", None)
                 reference = sw.build_code(spec, seed=i, max_bfs_levels=depth)
             assert compiled == reference, (spec, depth)
+        # Searches that reach every check: a column of degree m, whose last
+        # edge goes to the one check left, and searches allowed m levels or
+        # more, which end only when they find no new check.
+        for i, (k, m, profile) in enumerate([
+            (5, 3, ((3, 5),)), (12, 4, ((4, 3), (2, 9))), (40, 6, ((6, 1), (3, 39))),
+            (30, 9, ((2, 10), (3, 20))), (200, 12, ((3, 150), (5, 50))),
+        ]):
+            dv = sum(d * c for d, c in profile) / k
+            spec = sw.CodeSpec(id=f"f{i}", k=k, n=k + m, dv_target=dv, design_p=None,
+                               degree_profile=profile)
+            for depth in (1, m, m + 3):
+                compiled = sw.build_code(spec, seed=i, max_bfs_levels=depth)
+                with monkeypatch.context() as mp:
+                    mp.setattr(_native, "_lib", None)
+                    reference = sw.build_code(spec, seed=i, max_bfs_levels=depth)
+                assert compiled == reference, (spec, depth)
 
 
 class TestAlist:

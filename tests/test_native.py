@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import swldpc as sw
-from swldpc import _native
+from swldpc import _native, codes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -212,3 +212,31 @@ def test_loop_helpers_inlined_into_each_clone(c_backend):
     names = {line.split()[-1].split(".")[0] for line in listing.splitlines() if line.strip()}
     assert {"bp_run", "side_info_pass"} <= names
     assert not {"check_pass", "box_rows", "variable_pass"} & names
+
+
+def test_peg_scratch_stays_within_its_stated_size(c_backend):
+    # peg_place appends without a branch, storing each node at the end of
+    # its list before it knows the node is new: front is stated as m + 1
+    # checks and vars as k columns. Both are the head of a longer array
+    # filled with a canary, on a code whose every column has degree m, so
+    # that searches reach every check: the last entry of each is written,
+    # and no canary beyond them.
+    k, m, canary = 6, 6, -7
+    degrees = np.full(k, m, dtype=np.int32)
+    var_ptr = np.zeros(k + 1, dtype=np.int32)
+    np.cumsum(degrees, out=var_ptr[1:])
+    edge_var = np.repeat(np.arange(k, dtype=np.int32), degrees)
+    edge_chk, nxt = (np.empty(k * m, dtype=np.int32) for _ in range(2))
+    chk_deg, chk_head, seen_c = (np.zeros(m, dtype=np.int32) for _ in range(3))
+    seen_v = np.zeros(k, dtype=np.int32)
+    front = np.full(m + 1 + 16, canary, dtype=np.int32)
+    vars_ = np.full(k + 16, canary, dtype=np.int32)
+    ptr = _native._ptr
+    status = c_backend.peg_place(
+        k, m, m, ptr(var_ptr), ptr(edge_var), ptr(edge_chk), ptr(chk_deg), ptr(chk_head),
+        ptr(nxt), ptr(seen_c), ptr(seen_v), ptr(front), ptr(vars_),
+    )
+    assert status == 0
+    assert front[m] != canary and vars_[k - 1] != canary
+    assert (front[m + 1:] == canary).all() and (vars_[k:] == canary).all()
+    assert np.array_equal(edge_chk, codes._place_edges(degrees, m, m))
