@@ -52,10 +52,10 @@
  * in magnitude, and the pad stays below 2**30, so that |a +- b| of any two
  * values fits, for every row of fewer than 178 million edges. A column's
  * total adds its channel value to one message per edge, each at most s_max
- * in magnitude, so it fits while (degree + 1) s_max <= 2**31 - 1: for
- * columns of up to 214,747 edges, the sentinel's pads counted as its edges.
- * bp.py calls the BP loop only on matrices within that bound
- * (SparseParityMatrix.int32_sums) and runs numpy on the others. */
+ * in magnitude, so it is exact while (degree + 1) s_max <= 2**31 - 1: for
+ * columns of up to 214,747 edges, the most SparseParityMatrix accepts. The
+ * sums are unsigned, so the sentinel's total, one message per pad, reset
+ * before it is read, wraps without undefined behaviour for any pad count. */
 
 static inline int32_t clip(int32_t v, int32_t s_max)
 {
@@ -145,7 +145,7 @@ variable_pass(int32_t m, int32_t n, int32_t d, const int32_t *cols, const int32_
         tot[j] = -llr[j];
     tot[n] = 0;
     for (int64_t e = 0; e < entries; e++)
-        tot[cols[e]] += c2v[e];
+        tot[cols[e]] = (int32_t)((uint32_t)tot[cols[e]] + (uint32_t)c2v[e]);
     tot[n] = 0;
     for (int32_t i = 0; i < m; i++)
         acc[i] = 0;
@@ -196,9 +196,9 @@ check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad, const int32_t *thr,
  * messages in the padded layout and receives the last round's; the values
  * on pads are never read, since their sums land on the sentinel, whose
  * total is reset. pad is the box-plus identity on pads; table is NULL for
- * min-sum; max_iters is at least 0. Every column total must fit an int32_t,
- * as the layout comment above says. work is scratch of n + 1 + d m + m int32
- * values. Outputs the n hard decisions, the clipped posterior (stored sign)
+ * min-sum; max_iters is at least 0. Every column holds at most 214,747
+ * edges, as the layout comment above says. work is scratch of n + 1 + d m + m
+ * int32 values. Outputs the n hard decisions, the clipped posterior (stored sign)
  * and *ok; returns the number of rounds run. */
 VECTOR_CLONES
 int32_t bp_run(int32_t m, int32_t n, int32_t d, const int32_t *cols, const int32_t *llr,

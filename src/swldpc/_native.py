@@ -17,8 +17,8 @@ counterpart: bp_run those of bp._bp_loop, SideInfoPass those of
 bp._pass_numpy, encode those of encoding._encode_numpy and peg_place those
 of codes._place_edges. The kernels read the matrix's int32 column array
 h.cols as it is stored, take the messages in the same padded layout, and
-keep the BP loop's column totals in int32 scratch; bp.py hands them only
-matrices whose totals fit (SparseParityMatrix.int32_sums). SideInfoPass
+keep the BP loop's column totals in int32 scratch, exact for every matrix
+SparseParityMatrix accepts, however many pads its layout holds. SideInfoPass
 takes its buffers' addresses once per frame, so that each pass of a joint
 decode is one short ctypes call.
 """
@@ -127,8 +127,7 @@ def _ptr(arr: np.ndarray) -> int:
 
 
 def bp_run(dll, h, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
-    """Run the whole BP loop in C on the padded edge matrix h.cols, whose
-    column totals must fit int32 (h.int32_sums).
+    """Run the whole BP loop in C on the padded edge matrix h.cols.
 
     llr holds the n stored channel values; pad is the box-plus identity the
     pads hold; table is the correction table with its trailing zero, or None
@@ -152,13 +151,13 @@ def bp_run(dll, h, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
 class SideInfoPass:
     """The compiled side_info_pass bound to one frame's buffers.
 
-    The arguments up to posterior are those of bp._pass_numpy: the matrix,
-    within the bound of h.int32_sums, the checked uint8 arrays y and z,
-    s_max, pad, the table or None, the padded int32 messages c2v, and the
-    output arrays bits (uint8) and posterior (int32), all C-contiguous and
-    writable. The object keeps them
-    alive, owns the scratch the kernel needs and takes their addresses once,
-    so that a call passes only the pass's own values. Calling it with
+    The arguments up to posterior are those of bp._pass_numpy: the matrix
+    (any SparseParityMatrix), the checked uint8 arrays y and z, s_max, pad,
+    the table or None, the padded int32 messages c2v, and the output arrays
+    bits (uint8) and posterior (int32), all C-contiguous and writable. The
+    object keeps them alive, owns the scratch the kernel needs and takes
+    their addresses once, so that a call passes only the pass's own values.
+    Calling it with
     (level1, level0, max_iters) runs one pass and returns (iterations,
     syndrome_ok, parity_ok, disagreements).
     """
@@ -212,7 +211,7 @@ def peg_place(dll, degrees: np.ndarray, m: int, max_levels: int) -> np.ndarray |
     seen_v, vars_ = np.zeros(k, dtype=np.int32), np.empty(k, dtype=np.int32)
     nxt = np.empty(edges, dtype=np.int32)
     status = dll.peg_place(
-        k, m, max(0, min(max_levels, m)), _ptr(var_ptr), _ptr(edge_var), _ptr(edge_chk),
+        k, m, min(max_levels, m), _ptr(var_ptr), _ptr(edge_var), _ptr(edge_chk),
         _ptr(chk_deg), _ptr(chk_head), _ptr(nxt), _ptr(seen_c), _ptr(seen_v), _ptr(front), _ptr(vars_),
     )
     return None if status else edge_chk

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
-from .codes import SparseParityMatrix, _is_int
+from .codes import SparseParityMatrix, _is_int, _is_real
 from .encoding import as_bit_array
 
 __all__ = [
@@ -93,8 +93,8 @@ _SCALE = 2**DEFAULT_Q
 def quantize_llr(l: float) -> int:
     """Map a real LLR to the decoder's grid: floor(2**DEFAULT_Q * l + 0.5),
     clipped to +-DEFAULT_S_MAX."""
-    if not math.isfinite(l):
-        raise ValueError(f"LLR must be finite, got {l}")
+    if not (_is_real(l) and math.isfinite(l)):
+        raise ValueError(f"LLR must be a finite real number, got {l!r}")
     return max(-DEFAULT_S_MAX, min(DEFAULT_S_MAX, math.floor(_SCALE * l + 0.5)))
 
 
@@ -131,8 +131,8 @@ def init_from_side_info(y, z, alpha: float) -> LlrqVector:
     """
     y = as_bit_array(y, np.asarray(y).size, "side information")
     z = as_bit_array(z, np.asarray(z).size, "parity block")
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    if not (_is_real(alpha) and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
     values = np.empty(y.size + z.size, dtype=np.int32)
     a = abs(alpha)
     values[: y.size] = np.where(y, quantize_llr(a), quantize_llr(-a))
@@ -176,13 +176,6 @@ def _bp_setup(h: SparseParityMatrix, kernel: str):
             np.empty(h.n_cols, dtype=np.uint8), np.empty(h.n_cols, dtype=np.int32))
 
 
-def _bp_lib(h: SparseParityMatrix):
-    """The compiled kernels for BP on h, or None for the numpy loop: when
-    they cannot be built, or when h's column totals do not fit their int32
-    sums."""
-    return _native.lib() if h.int32_sums else None
-
-
 def _check_iters(max_iters: int, name: str, low: int = 0) -> None:
     if not _is_int(max_iters):
         raise ValueError(f"{name} must be an integer, got {max_iters!r}")
@@ -207,15 +200,14 @@ def bp_decode(
     must lie in [0, 2**31 - 1]. To continue BP from earlier messages, run
     side_info_pass on a SideInfoFrame.
 
-    The loop runs in the compiled kernel when swldpc.backend() is "c" and h
-    is within its int32 bound (h.int32_sums), and in numpy otherwise; both
-    give the same outcome bit for bit.
+    The loop runs in the compiled kernel when swldpc.backend() is "c" and in
+    numpy otherwise; both give the same outcome bit for bit.
     """
     _check_iters(max_local_iters, "max_local_iters")
     pad, table, padded, bits, post = _bp_setup(h, kernel)
     if init.values.size != h.n_cols:
         raise ValueError(f"init has {init.values.size} values for n={h.n_cols}")
-    dll = _bp_lib(h)
+    dll = _native.lib()
     run = _bp_loop if dll is None else functools.partial(_native.bp_run, dll)
     # _native takes the addresses of writable buffers only
     llr = np.require(init.values, np.int32, "CW")
@@ -257,7 +249,7 @@ class SideInfoFrame:
         self.y = y = as_bit_array(y, h.k, "side information")
         pad, table, self.c2v, self.hard_bits, self.posterior = _bp_setup(h, kernel)
         args = (h, y, z, DEFAULT_S_MAX, pad, table, self.c2v, self.hard_bits, self.posterior)
-        dll = _bp_lib(h)
+        dll = _native.lib()
         self.run = (
             functools.partial(_pass_numpy, *args) if dll is None
             else _native.SideInfoPass(dll, *args)
@@ -274,6 +266,8 @@ def side_info_pass(frame: SideInfoFrame, alpha: float, max_iters: int) -> PassOu
     leaves its hard decisions and posterior in the frame.
     """
     _check_iters(max_iters, "max_iters")
+    if not _is_real(alpha):
+        raise ValueError(f"alpha must be a real number, got {alpha!r}")
     a = abs(alpha)
     return PassOutcome(*frame.run(quantize_llr(a), quantize_llr(-a), max_iters))
 

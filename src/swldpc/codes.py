@@ -168,7 +168,7 @@ def get_code_spec(code_id: str) -> CodeSpec:
 # one at most bp.DEFAULT_S_MAX = 10000 in magnitude, in int32: exact for a
 # column of d edges while (d + 1) * 10000 <= 2**31 - 1.
 _INT32_MAX = 2**31 - 1
-_INT32_SUM_DEGREE = _INT32_MAX // 10_000 - 1  # 214,747
+_MAX_COLUMN_DEGREE = _INT32_MAX // 10_000 - 1  # 214,747
 
 
 class SparseParityMatrix:
@@ -184,11 +184,10 @@ class SparseParityMatrix:
     of rows and of the alist. BP messages take this padded layout alone. The
     numpy code and the compiled kernels walk the same array.
 
-    int32_sums tells whether the compiled BP loop's int32 column totals are
-    exact: whether no column has more than 214,747 edges, nor the sentinel
-    more pads. No column of a matrix with at most that many rows has more
-    edges than it has rows, so only a taller matrix reads its degrees, once,
-    when it is built. BP on a matrix past the bound runs in numpy.
+    No column may hold more than 214,747 edges, so that the compiled BP
+    loop's int32 column totals are exact. No column of a matrix with at most
+    that many rows has more edges than it has rows, so only a taller matrix
+    reads its degrees, once, when it is built.
 
     The first k columns are systematic; the trailing n_cols - k columns
     always form the staircase, which guarantees full row rank. The
@@ -227,11 +226,8 @@ class SparseParityMatrix:
         self.cols = np.ascontiguousarray(cols, dtype=np.int32)
         self.valid = self.cols < n_cols
         self.edges = int(np.count_nonzero(self.valid))
-        pads = self.cols.size - self.edges
-        self.int32_sums = pads <= _INT32_SUM_DEGREE and (
-            self.n_rows <= _INT32_SUM_DEGREE
-            or int(self.column_weights().max(initial=0)) <= _INT32_SUM_DEGREE
-        )
+        if self.n_rows > _MAX_COLUMN_DEGREE and self.column_weights().max() > _MAX_COLUMN_DEGREE:
+            raise ValueError(f"a column has more than {_MAX_COLUMN_DEGREE} edges")
 
     @property
     def n(self) -> int:
@@ -410,12 +406,16 @@ def build_code(spec: CodeSpec, seed: int = 0, max_bfs_levels: int = 4) -> Sparse
     the current systematic subgraph, capped at max_bfs_levels check levels),
     with ties broken by the lowest current row weight and then the lowest row
     index. The seed only shuffles which columns carry which profile degree;
-    placement itself is deterministic. For k >= 1000 the systematic subgraph
-    comes out free of length-4 cycles.
+    placement itself is deterministic. seed and max_bfs_levels must be
+    non-negative integers. For k >= 1000 the systematic subgraph comes out
+    free of length-4 cycles.
 
     Placement runs in the compiled kernel when swldpc.backend() is "c" and in
     numpy otherwise; both place every edge identically.
     """
+    for name, value in (("seed", seed), ("max_bfs_levels", max_bfs_levels)):
+        if not (_is_int(value) and value >= 0):
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     k, m = spec.k, spec.m
     rng = np.random.default_rng(seed)
     degrees = _column_degrees(spec, rng)

@@ -85,8 +85,8 @@ def generate_pair(k: int, cfg: CorrelationConfig, rng: np.random.Generator) -> F
 
 def binary_entropy(p: float) -> float:
     """Binary entropy in bits; 0 at p = 0 and p = 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    if not (_is_real(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -99,7 +99,7 @@ def sw_limits(p: float) -> dict:
     per source bit, and the total joint rate 1 + H(p) once the side
     information is counted at its own entropy.
     """
-    if not 0.0 < p < 0.5:
-        raise ValueError(f"flip probability must lie in (0, 0.5), got {p}")
+    if not (_is_real(p) and 0.0 < p < 0.5):
+        raise ValueError(f"flip probability must lie in (0, 0.5), got {p!r}")
     h = binary_entropy(p)
     return {"h_x_given_y": h, "joint": 1.0 + h}

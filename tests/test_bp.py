@@ -35,7 +35,7 @@ class TestQuantizer:
         assert sw.quantize_llr(-1e9) == -10000
 
     def test_non_finite_rejected(self):
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, None, "x", 1j, True):
             with pytest.raises(ValueError):
                 sw.quantize_llr(bad)
 
@@ -277,11 +277,16 @@ class TestBpDecode:
         # A cap outside [0, 2**31 - 1] is refused before any round runs, on
         # both backends: ctypes would wrap 2**32 + 3 to 3 rounds in C, and
         # numpy would run up to 2**32 + 3 on a frame that does not decode.
+        # So is an alpha that is not a real number: abs(1j) would run at 1.
         _, y, z = _noisy_frame(desk_code, 0.3, 5)
         frame = SideInfoFrame(desk_code, y, z)
         for bad in (2**32 + 3, 2**31, -5, -1, 2.0):
             with pytest.raises(ValueError, match="max_iters"):
                 side_info_pass(frame, -2.9, bad)
+            assert not frame.c2v.any()
+        for bad in (None, "x", 1j, True, math.nan):
+            with pytest.raises(ValueError, match="alpha|LLR"):
+                side_info_pass(frame, bad, 3)
             assert not frame.c2v.any()
         assert side_info_pass(frame, -2.9, 3)[:2] == (3, False)
 
@@ -442,24 +447,31 @@ class TestBackendsAgree:
         cols[1:, 0] = (k, k + m)  # row 0: one parity column, then a pad
         return sw.SparseParityMatrix._from_cols(k + m, k, cols, None)
 
-    @pytest.mark.parametrize("degree,compiled", [(214_747, True), (214_748, False)])
-    def test_int32_total_bound(self, c_backend, monkeypatch, degree, compiled):
-        # The compiled loop sums a column's channel value and messages in
-        # int32, exact while (degree + 1) * s_max <= 2**31 - 1. On a frame
-        # whose messages all hold +s_max, column 0 totals degree * s_max plus
-        # its channel value, which the decoder negates. alpha = 1e4 quantizes
-        # to +-s_max, so y = 0 (a stored -s_max) reaches (degree + 1) * s_max.
-        # At the bound C must equal numpy; one edge past it, numpy must run.
-        h = self._one_column_in_every_row(degree)
-        assert h.column_weights()[0] == degree and h.int32_sums == compiled
-        assert sw.quantize_llr(1e4) == DEFAULT_S_MAX
-        made = []
+    @staticmethod
+    def _spy(mp, name, made):
+        """Wrap _native's name so that each call appends name to made."""
+        real = getattr(_native, name)
 
         def spy(*args):
-            made.append(1)
-            return compiled_pass(*args)
+            made.append(name)
+            return real(*args)
 
-        compiled_pass = _native.SideInfoPass
+        mp.setattr(_native, name, spy)
+
+    def test_int32_total_bound(self, c_backend, monkeypatch):
+        # The compiled loop sums a column's channel value and messages in
+        # int32, exact while (degree + 1) * s_max <= 2**31 - 1, and a column
+        # of 214,747 edges is the heaviest SparseParityMatrix accepts. On a
+        # frame whose messages all hold +s_max, column 0 totals degree * s_max
+        # plus its channel value, which the decoder negates. alpha = 1e4
+        # quantizes to +-s_max, so y = 0 (a stored -s_max) reaches
+        # (degree + 1) * s_max. At the bound C must equal numpy.
+        degree = sw.codes._MAX_COLUMN_DEGREE
+        h = self._one_column_in_every_row(degree)
+        assert h.column_weights()[0] == degree == 214_747
+        assert (degree + 1) * DEFAULT_S_MAX <= 2**31 - 1 < (degree + 2) * DEFAULT_S_MAX
+        assert sw.quantize_llr(1e4) == DEFAULT_S_MAX
+        made = []
         for bit in (0, 1):
             y, z = np.full(h.k, bit, np.uint8), np.full(h.m, bit, np.uint8)
             for iters in (0, 1):
@@ -467,7 +479,7 @@ class TestBackendsAgree:
                 for lib in (c_backend, None):  # None: the numpy code
                     with monkeypatch.context() as mp:
                         mp.setattr(_native, "_lib", lib)
-                        mp.setattr(_native, "SideInfoPass", spy)
+                        self._spy(mp, "SideInfoPass", made)
                         frame = SideInfoFrame(h, y, z)
                     frame.c2v[h.valid] = DEFAULT_S_MAX
                     out = side_info_pass(frame, 1e4, iters)
@@ -476,20 +488,53 @@ class TestBackendsAgree:
                 assert got == want
                 for a, b in zip(got_arrays, want_arrays):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert len(made) == (4 if compiled else 0)
+        assert len(made) == 4
 
-    def test_int32_bound_on_tall_and_padded_matrices(self):
-        # Past 214,747 rows the degrees decide; a tall matrix of light columns
-        # is in bounds, and so is any shorter one, unless its pads, which sum
-        # on the sentinel column, outnumber the bound.
-        assert self._one_column_in_every_row(214_748, k=2).int32_sums
-        pads = sw.SparseParityMatrix(
+    def test_int32_bound_on_tall_and_padded_matrices(self, c_backend, monkeypatch):
+        # Past 214,747 rows the degrees decide, and a tall matrix of light
+        # columns is accepted. A matrix's pads do not bound its int32 totals:
+        # each pad's message lands on the sentinel column, whose total may
+        # wrap (in unsigned arithmetic) and is reset before it is read. This
+        # one has 429,785 pads, whose messages sum past 2**31 on the
+        # sentinel, and runs the compiled loop, which must equal numpy field
+        # by field.
+        assert self._one_column_in_every_row(214_748, k=2).column_weights().max() == 107_374
+        h = sw.SparseParityMatrix(
             n_rows=2000, n_cols=2216, k=216,
             rows=[list(range(217))] + [[215 + i, 216 + i] for i in range(1, 2000)],
         )
-        assert pads.cols.size - pads.edges > 214_747 and not pads.int32_sums
-        assert (sw.codes._INT32_SUM_DEGREE + 1) * DEFAULT_S_MAX <= 2**31 - 1
-        assert (sw.codes._INT32_SUM_DEGREE + 2) * DEFAULT_S_MAX > 2**31 - 1
+        assert h.cols.size - h.edges == 429_785
+        # z is all ones, so every staircase row sends its pads messages of
+        # one sign; three flips leave check 0 unsatisfied for every round
+        x = np.random.default_rng(4006).integers(0, 2, h.k).astype(np.uint8)
+        z = sw.encode(h, x)
+        y = x.copy()
+        y[[3, 50, 99]] ^= 1
+        made = []
+        for kernel in ("table", "minsum"):
+            runs = []
+            for lib in (c_backend, None):  # None: the numpy code
+                with monkeypatch.context() as mp:
+                    mp.setattr(_native, "_lib", lib)
+                    self._spy(mp, "SideInfoPass", made)
+                    self._spy(mp, "bp_run", made)
+                    frame = SideInfoFrame(h, y, z, kernel)
+                    passes = []
+                    for alpha, iters in ((-2.9, 3), (-0.4, 2), (1e4, 0)):
+                        out = side_info_pass(frame, alpha, iters)
+                        passes.append((out, frame.hard_bits.copy(), frame.posterior.copy(),
+                                       frame.c2v.copy()))
+                    assert abs(frame.c2v[~h.valid].sum(dtype=np.int64)) > 2**31
+                    init = sw.init_from_side_info(y, z, -2.9)
+                    runs.append((passes, sw.bp_decode(h, init, 4, kernel)))
+            (got, got_cold), (want, want_cold) = runs
+            assert got[0][0].iterations_used == 3 and not got[0][0].syndrome_ok
+            for g, w in zip(got, want):
+                assert g[0] == w[0]
+                for a, b in zip(g[1:], w[1:]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+            _assert_same_outcome(got_cold, want_cold)
+        assert made == ["SideInfoPass", "bp_run"] * 2
 
     def test_encode(self, c_backend, monkeypatch, toy_code, ragged_code):
         rng = np.random.default_rng(4005)

@@ -313,12 +313,22 @@ class TestConstruction:
         sw.save_alist(ragged_code, buf)
         for g in (h, ragged_code, sw.load_alist(io.StringIO(buf.getvalue()))):
             assert g.cols.dtype == np.int32 and g.cols.flags.c_contiguous
-            assert g.int32_sums
 
     def test_n_cols_must_leave_an_int32_sentinel(self):
         cols = np.array([[0], [2**31 - 1]])
         with pytest.raises(ValueError, match="int32 sentinel"):
             sw.SparseParityMatrix._from_cols(2**31, 2**31 - 2, cols, None)
+
+    def test_column_of_more_than_214747_edges_is_refused(self):
+        # BP sums a column's channel value and messages, each at most s_max =
+        # 10000 in magnitude, in int32: 214,748 edges could reach 2**31.
+        # Column 0 sits in every one of m rows, beside the staircase.
+        m = 214_748
+        i = np.arange(m)
+        cols = np.stack([np.zeros(m, np.intp), i, i + 1])
+        cols[1:, 0] = (1, 1 + m)  # row 0: one parity column, then a pad
+        with pytest.raises(ValueError, match="more than 214747 edges"):
+            sw.SparseParityMatrix._from_cols(1 + m, 1, cols, None)
 
     def test_compiled_placement_matches_numpy(self, c_backend, monkeypatch):
         # Random geometries, BFS depths 1 to 6, two-valued and explicit

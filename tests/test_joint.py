@@ -329,6 +329,18 @@ class TestValidation:
             with pytest.raises(ValueError, match="<= 2147483647"):
                 call()
 
+    @pytest.mark.parametrize("call", [
+        lambda bad: sw.build_code(sw.get_code_spec("D1"), seed=bad),
+        lambda bad: sw.build_code(sw.get_code_spec("D1"), max_bfs_levels=bad),
+        sw.binary_entropy,
+        sw.sw_limits,
+    ], ids=["build_code-seed", "build_code-max_bfs_levels", "binary_entropy", "sw_limits"])
+    @pytest.mark.parametrize("bad", [None, "3", 1j, True, 2.5, -1])
+    def test_public_callables_reject_wrong_scalars(self, backend, call, bad):
+        # one ValueError on both backends, never a TypeError or ctypes.ArgumentError
+        with pytest.raises(ValueError):
+            call(bad)
+
     @pytest.mark.parametrize("bad", NOT_BITS)
     def test_public_helpers_reject_non_bits(self, desk_code, bad):
         x, y, z = _frame(desk_code, 0.02, seed=3)
@@ -349,8 +361,9 @@ class TestValidation:
 
     def test_public_helpers_keep_their_other_checks(self, desk_code):
         x, y, z = _frame(desk_code, 0.02, seed=3)
-        with pytest.raises(ValueError, match="finite"):
-            sw.init_from_side_info(y, z, math.inf)
+        for bad in (math.inf, None, "x", 1j, True):
+            with pytest.raises(ValueError, match="finite real"):
+                sw.init_from_side_info(y, z, bad)
         with pytest.raises(ValueError, match="two bits"):
             sw.estimate_alpha(x[:1], y[:1])
         init = sw.init_from_side_info(y, z, -2.9)
