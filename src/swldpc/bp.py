@@ -93,9 +93,12 @@ _SCALE = 2**DEFAULT_Q
 def quantize_llr(l: float) -> int:
     """Map a real LLR to the decoder's grid: floor(2**DEFAULT_Q * l + 0.5),
     clipped to +-DEFAULT_S_MAX."""
-    if not (_is_real(l) and math.isfinite(l)):
-        raise ValueError(f"LLR must be a finite real number, got {l!r}")
-    return max(-DEFAULT_S_MAX, min(DEFAULT_S_MAX, math.floor(_SCALE * l + 0.5)))
+    try:
+        if _is_real(l) and math.isfinite(l):
+            return max(-DEFAULT_S_MAX, min(DEFAULT_S_MAX, math.floor(_SCALE * l + 0.5)))
+    except OverflowError:  # a finite l that a float, or 2**DEFAULT_Q * l, cannot hold
+        return DEFAULT_S_MAX if l > 0 else -DEFAULT_S_MAX
+    raise ValueError(f"LLR must be a finite real number, got {l!r}")
 
 
 def make_correction_table(q: int) -> np.ndarray:
@@ -131,7 +134,7 @@ def init_from_side_info(y, z, alpha: float) -> LlrqVector:
     """
     y = as_bit_array(y, np.asarray(y).size, "side information")
     z = as_bit_array(z, np.asarray(z).size, "parity block")
-    if not (_is_real(alpha) and math.isfinite(alpha)):
+    if not (_is_real(alpha) and abs(alpha) < math.inf):  # an int too large for a float is finite too
         raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
     values = np.empty(y.size + z.size, dtype=np.int32)
     a = abs(alpha)

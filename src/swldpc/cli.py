@@ -21,7 +21,7 @@ import numpy as np
 from .bp import KERNELS
 from .codes import CodeSpec, SparseParityMatrix, build_code, load_alist, save_alist
 from .encoding import encode
-from .joint import joint_decode, non_iterative_decode
+from .joint import joint_decode
 from .sources import CorrelationConfig, generate_pair
 from .sweep import SweepConfig, emit_report, run_sweep
 
@@ -128,16 +128,11 @@ def _cmd_decode(args) -> int:
     out = np.empty((z_frames.shape[0], h.k), dtype=np.uint8)
     traces = []
     failures = 0
+    max_global = 1 if args.no_global_iter else args.max_global
     for i, (z, y) in enumerate(zip(z_frames, y_frames)):
-        if args.no_global_iter:
-            res = non_iterative_decode(
-                h, z, y, design_p, max_local=args.max_local, kernel=args.kernel
-            )
-        else:
-            res = joint_decode(
-                h, z, y, design_p,
-                max_global=args.max_global, max_local=args.max_local, kernel=args.kernel,
-            )
+        res = joint_decode(
+            h, z, y, design_p, max_global=max_global, max_local=args.max_local, kernel=args.kernel
+        )
         out[i] = res.x_hat
         if not res.success:
             failures += 1
@@ -237,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--max-global", type=int, default=5)
     dec.add_argument("--max-local", type=int, default=50)
     dec.add_argument("--kernel", choices=KERNELS, default="table")
-    dec.add_argument("--no-global-iter", action="store_true")
+    dec.add_argument("--no-global-iter", action="store_true",
+                     help="run only the joint loop's first pass, at the design point")
     dec.add_argument("--trace", default=None, help="write per-frame estimate traces as JSON")
     dec.add_argument("--format", choices=["bin", "hex"], default="bin")
     dec.set_defaults(func=_cmd_decode)

@@ -15,12 +15,17 @@ towards the side information, it is the posterior expectation of that count.
 The first pass that decodes exactly ends the loop: its estimate is the exact
 count, so another pass has nothing left to track.
 
+The static baseline, the decoder that does not use the knowledge that the
+correlation exists, is this loop stopped after its first pass:
+non_iterative_decode is joint_decode with max_global=1.
+
 Each pass is one bp.side_info_pass over a bp.SideInfoFrame made once per
 decode: under the compiled backend a single call, free of the interpreter
 lock, builds the channel values, runs BP, checks the parity bits against z
 and counts the disagreements with y. The frame keeps the messages between
-passes in the padded edge layout the code's matrix is stored in. Python computes the quantized channel
-levels and the estimates, and reads the posterior only after a failed pass.
+passes in the padded edge layout the code's matrix is stored in. Python
+computes the quantized channel levels and the estimates, and reads the
+posterior only after a failed pass.
 """
 
 from __future__ import annotations
@@ -208,25 +213,9 @@ def non_iterative_decode(
     max_local: int = 50,
     kernel: str = "table",
 ) -> JointDecodeResult:
-    """Single-shot baseline: one decode at the design log-odds, no tracking.
+    """The static baseline: joint_decode's first pass, at the design log-odds.
 
-    The decode is the first pass of joint_decode. The reported estimate is
-    the disagreement count of the hard decisions even when the decode fails:
-    the baseline does no tracking, so none of it depends on how the joint
-    loop re-estimates. max_local must be >= 0.
+    This is the decoder that does not track the correlation. A failed pass
+    reports joint_decode's posterior estimate.
     """
-    frame = SideInfoFrame(h, y, z, kernel)
-    _check_two_bits(h.k)
-    _check_iters(max_local, "max_local")
-    out = side_info_pass(frame, initial_alpha(design_p), max_local)
-    est = _log_odds(out.disagreements, h.k)
-    record = GlobalIterationRecord(
-        index=1, alpha=est.alpha, p_hat=est.p_hat, syndrome_ok=out.syndrome_ok
-    )
-    return JointDecodeResult(
-        x_hat=frame.hard_bits[: h.k].copy(),
-        success=out.syndrome_ok and out.parity_ok,
-        global_iters_used=1,
-        local_iters_total=out.iterations_used,
-        final_state=CorrelationState(alpha=est.alpha, p_hat=est.p_hat, trace=[record]),
-    )
+    return joint_decode(h, z, y, design_p, max_global=1, max_local=max_local, kernel=kernel)

@@ -22,7 +22,7 @@ import numpy as np
 from .bp import KERNELS, _check_iters
 from .codes import CODE_REGISTRY, SparseParityMatrix, _is_int, _is_real, build_code, load_alist
 from .encoding import encode
-from .joint import joint_decode, non_iterative_decode
+from .joint import joint_decode
 from .sources import CorrelationConfig, binary_entropy, generate_pair
 
 __all__ = [
@@ -71,8 +71,9 @@ class SweepConfig:
     """One sweep: codes x correlation points, a frame budget per point.
 
     codes may hold registry ids or alist file paths. decoder selects the
-    correlation-tracking decoder or the single-shot baseline, so an A/B
-    comparison is two sweeps sharing a seed (frames are then identical).
+    correlation-tracking decoder ("joint") or the static baseline
+    ("non_iterative", its first pass alone), so an A/B comparison is two
+    sweeps sharing a seed (frames are then identical).
     error_frame_target stops a point early once that many erroneous frames
     have been counted; ber_target is recorded and flagged per point.
     """
@@ -120,9 +121,8 @@ class SweepConfig:
             raise ValueError(f"decoder must be 'joint' or 'non_iterative', got {self.decoder!r}")
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if self.max_local < 1 or self.max_global < 1:
-            raise ValueError("iteration caps must be >= 1")
-        _check_iters(self.max_local, "max_local")  # the upper bound
+        _check_iters(self.max_local, "max_local", 1)
+        _check_iters(self.max_global, "max_global", 1)
         if self.error_frame_target < 1:
             raise ValueError("error_frame_target must be >= 1")
         try:
@@ -242,15 +242,10 @@ def _eval_frame(
     pair = generate_pair(h.k, CorrelationConfig(mean_p=mean_p, delta_p=delta_p), rng=rng)
     z = encode(h, pair.x)
     design_p = h.design_p if h.design_p is not None else mean_p
-    if cfg.decoder == "joint":
-        res = joint_decode(
-            h, z, pair.y, design_p,
-            max_global=cfg.max_global, max_local=cfg.max_local, kernel=cfg.kernel,
-        )
-    else:
-        res = non_iterative_decode(
-            h, z, pair.y, design_p, max_local=cfg.max_local, kernel=cfg.kernel
-        )
+    max_global = 1 if cfg.decoder == "non_iterative" else cfg.max_global
+    res = joint_decode(
+        h, z, pair.y, design_p, max_global=max_global, max_local=cfg.max_local, kernel=cfg.kernel
+    )
     bit_errors = int(np.count_nonzero(res.x_hat ^ pair.x))
     return FrameResult(
         frame_index=frame_index,

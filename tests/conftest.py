@@ -28,7 +28,9 @@ def pytest_terminal_summary(terminalreporter, config):
 
 @pytest.fixture()
 def numpy_backend(monkeypatch):
-    """Run bp_decode and build_code on their numpy code."""
+    """Run all four paths that have compiled code on their numpy code:
+    bp_decode, the passes of a SideInfoFrame made under this fixture (so
+    joint_decode's), build_code and encode."""
     monkeypatch.setattr(_native, "_lib", None)
 
 

@@ -205,7 +205,8 @@ def _staircase_ref(i: int, k: int) -> list:
 
 
 def validate_ref(n_rows: int, n_cols: int, k: int, rows: list) -> None:
-    """SparseParityMatrix.validate as a plain loop over the rows.
+    """The SparseParityMatrix constructor's row check, codes._first_bad_row,
+    as a plain loop over the rows.
 
     rows holds one int32 array per row. Raises ValueError with the message
     the production check gives for the first bad row; within a row the

@@ -33,6 +33,11 @@ class TestQuantizer:
     def test_clipping(self):
         assert sw.quantize_llr(1e9) == 10000
         assert sw.quantize_llr(-1e9) == -10000
+        # so do finite values that a float cannot hold once scaled by 2**q,
+        # and integers too large for a float
+        for big in (1e308, 10**400):
+            assert sw.quantize_llr(big) == 10000
+            assert sw.quantize_llr(-big) == -10000
 
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf, None, "x", 1j, True):
@@ -130,6 +135,10 @@ class TestLlrqVector:
         a = sw.init_from_side_info(y, z, -2.9444389791664403)
         b = sw.init_from_side_info(y, z, +2.9444389791664403)
         assert np.array_equal(a.values, b.values)
+        # an integer too large for a float is a finite alpha: the priors saturate
+        sat = sw.init_from_side_info(y, z, 1e9).values
+        for huge in (10**400, -(10**400)):
+            assert np.array_equal(sw.init_from_side_info(y, z, huge).values, sat)
 
 
 class TestBpDecode:
@@ -289,6 +298,10 @@ class TestBpDecode:
                 side_info_pass(frame, bad, 3)
             assert not frame.c2v.any()
         assert side_info_pass(frame, -2.9, 3)[:2] == (3, False)
+        # an integer too large for a float is a finite alpha, run as 1e9 is
+        huge, sat = SideInfoFrame(desk_code, y, z), SideInfoFrame(desk_code, y, z)
+        assert side_info_pass(huge, -(10**400), 3) == side_info_pass(sat, 1e9, 3)
+        assert np.array_equal(huge.posterior, sat.posterior)
 
 
 def _noisy_frame(h, p, seed):

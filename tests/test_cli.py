@@ -201,6 +201,20 @@ class TestEncodeDecode:
         assert rc == 0
         tr = json.loads((workdir / "t.json").read_text())
         assert len(tr[0]["trace"]) == 1
+        # the flag runs the joint loop's first pass alone: --max-global 1
+        # writes the same output and trace, on frames that fail as well
+        xp, yp, _ = _simulate(workdir, prefix="hi", mean_p="0.06", frames=6)
+        main(["encode", "--code", str(code), "--in", str(xp), "--out", "p.swz"])
+        runs = []
+        for i, flag in enumerate((["--no-global-iter"], ["--max-global", "1"])):
+            rc = main(["decode", "--code", str(code), "--parity", "p.swz",
+                       "--side-info", str(yp), "--out", f"o{i}.bin",
+                       "--trace", f"t{i}.json", *flag])
+            runs.append((rc, (workdir / f"o{i}.bin").read_bytes(),
+                         (workdir / f"t{i}.json").read_text()))
+        assert runs[0] == runs[1]
+        tr = json.loads(runs[0][2])
+        assert {f["success"] for f in tr} == {True, False}
 
     def test_misaligned_bit_file_exits_2(self, workdir):
         code = _design(workdir)

@@ -1,5 +1,6 @@
 """Monte-Carlo sweep harness: configs, tallies, determinism, reports."""
 
+import dataclasses
 import io
 import json
 import math
@@ -47,6 +48,7 @@ class TestSweepConfig:
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, ber_target=math.nan),
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, max_local=2**31),
             dict(codes=["D1"], points=[(0.05, 10**400)], frames=4),
+            dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, max_global=2**31),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -128,11 +130,15 @@ class TestRunSweep:
 
     def test_non_iterative_decoder_mode(self):
         cfg = sw.SweepConfig(
-            codes=["D1"], points=[(0.01, 0.0)], frames=8, decoder="non_iterative",
-            record_frames=True,
+            codes=["D1"], points=[(0.01, 0.0), (0.07, 0.0)], frames=8,
+            decoder="non_iterative", record_frames=True,
         )
         rep = sw.run_sweep(cfg)
-        assert all(f.global_iters == 1 for f in rep.points[0].frame_results)
+        assert all(f.global_iters == 1 for pt in rep.points for f in pt.frame_results)
+        assert rep.points[1].frame_errs > 0
+        # the static baseline is the joint decoder's first pass
+        one_pass = sw.run_sweep(dataclasses.replace(cfg, decoder="joint", max_global=1))
+        assert sw.emit_report(one_pass) == sw.emit_report(rep)
 
     def test_alist_path_reference(self, tmp_path, desk_code):
         path = tmp_path / "desk.alist"
