@@ -87,15 +87,16 @@ class DecodeOutcome:
     syndrome_ok: bool
 
 
-_SCALE = 2**DEFAULT_Q
-
-
 def quantize_llr(l: float) -> int:
     """Map a real LLR to the decoder's grid: floor(2**DEFAULT_Q * l + 0.5),
     clipped to +-DEFAULT_S_MAX."""
+    # The bounds test, unlike math.isfinite, keeps a finite np.longdouble past
+    # a float's range; ldexp scales as a float, where numpy's scalar multiply
+    # would warn on overflow.
     try:
-        if _is_real(l) and math.isfinite(l):
-            return max(-DEFAULT_S_MAX, min(DEFAULT_S_MAX, math.floor(_SCALE * l + 0.5)))
+        if _is_real(l) and -math.inf < l < math.inf:
+            grid = math.floor(math.ldexp(l, DEFAULT_Q) + 0.5)
+            return max(-DEFAULT_S_MAX, min(DEFAULT_S_MAX, grid))
     except OverflowError:  # a finite l that a float, or 2**DEFAULT_Q * l, cannot hold
         return DEFAULT_S_MAX if l > 0 else -DEFAULT_S_MAX
     raise ValueError(f"LLR must be a finite real number, got {l!r}")

@@ -5,6 +5,10 @@ index, frame index), and frames are tallied in index order with a fixed
 chunk size, so reports are byte-identical no matter how many workers run.
 Wall-clock timing is kept out of the CSV for the same reason; it appears in
 the JSON report only.
+
+The calling thread draws each chunk's frames (source pair and parity), and
+the workers only decode them, one contiguous block each: the draw is many
+short numpy calls, each of which would hand the GIL between threads.
 """
 
 from __future__ import annotations
@@ -228,33 +232,11 @@ def _resolve_code(ref: str, build_seed: int) -> tuple[str, SparseParityMatrix]:
     raise ValueError(f"code {ref!r} is neither a registry id nor an alist file")
 
 
-def _eval_frame(
-    h: SparseParityMatrix,
-    mean_p: float,
-    delta_p: float,
-    cfg: SweepConfig,
-    code_index: int,
-    point_index: int,
-    frame_index: int,
-) -> FrameResult:
-    ss = np.random.SeedSequence((cfg.seed, code_index, point_index, frame_index))
-    rng = np.random.default_rng(ss)
-    pair = generate_pair(h.k, CorrelationConfig(mean_p=mean_p, delta_p=delta_p), rng=rng)
-    z = encode(h, pair.x)
-    design_p = h.design_p if h.design_p is not None else mean_p
-    max_global = 1 if cfg.decoder == "non_iterative" else cfg.max_global
-    res = joint_decode(
-        h, z, pair.y, design_p, max_global=max_global, max_local=cfg.max_local, kernel=cfg.kernel
-    )
-    bit_errors = int(np.count_nonzero(res.x_hat ^ pair.x))
-    return FrameResult(
-        frame_index=frame_index,
-        actual_p=pair.actual_p,
-        bit_errors=bit_errors,
-        success=res.success,
-        global_iters=res.global_iters_used,
-        local_iters=res.local_iters_total,
-    )
+def _draw(h: SparseParityMatrix, corr: CorrelationConfig, key: tuple):
+    """One frame's source pair and its parity, from the random stream of its
+    key (seed, code index, point index, frame index)."""
+    pair = generate_pair(h.k, corr, rng=np.random.default_rng(np.random.SeedSequence(key)))
+    return pair, encode(h, pair.x)
 
 
 def _run_point(
@@ -264,8 +246,23 @@ def _run_point(
     code_index: int,
     point_index: int,
     pool: ThreadPoolExecutor | None,
+    workers: int,
 ) -> PointReport:
     mean_p, delta_p = cfg.points[point_index]
+    corr = CorrelationConfig(mean_p=mean_p, delta_p=delta_p)
+    design_p = h.design_p if h.design_p is not None else mean_p
+    max_global = 1 if cfg.decoder == "non_iterative" else cfg.max_global
+
+    def decode_block(block):
+        return [
+            joint_decode(
+                h, z, pair.y, design_p,
+                max_global=max_global, max_local=cfg.max_local, kernel=cfg.kernel,
+            )
+            for pair, z in block
+        ]
+
+    run = pool.map if pool is not None else map
     start = time.perf_counter()
     results: list[FrameResult] = []
     stopped_early = False
@@ -273,10 +270,20 @@ def _run_point(
     errs_so_far = 0
     while done < cfg.frames and not stopped_early:
         hi = min(done + _CHUNK, cfg.frames)
-        idxs = range(done, hi)
-        task = lambda fi: _eval_frame(h, mean_p, delta_p, cfg, code_index, point_index, fi)
-        chunk = list(pool.map(task, idxs)) if pool is not None else [task(fi) for fi in idxs]
-        for fr in chunk:  # scan in frame order so early stop is worker-independent
+        drawn = [_draw(h, corr, (cfg.seed, code_index, point_index, fi)) for fi in range(done, hi)]
+        size = -(-len(drawn) // workers)  # one contiguous block per worker
+        blocks = [drawn[i : i + size] for i in range(0, len(drawn), size)]
+        decoded = [res for block in run(decode_block, blocks) for res in block]
+        for fi, (pair, _), res in zip(range(done, hi), drawn, decoded):
+            # scan in frame order so early stop is worker-independent
+            fr = FrameResult(
+                frame_index=fi,
+                actual_p=pair.actual_p,
+                bit_errors=int(np.count_nonzero(res.x_hat ^ pair.x)),
+                success=res.success,
+                global_iters=res.global_iters_used,
+                local_iters=res.local_iters_total,
+            )
             results.append(fr)
             if fr.bit_errors > 0:
                 errs_so_far += 1
@@ -321,9 +328,10 @@ def _run_point(
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     """Run every (code, point) cell of the sweep and aggregate statistics.
 
-    workers > 1 evaluates frames of a chunk concurrently; results never
-    depend on the worker count. A zero frame budget produces rows with empty
-    tallies.
+    The calling thread draws every frame of a chunk in frame order; with
+    workers > 1 the chunk is split into one contiguous block per worker and
+    the blocks are decoded concurrently. Results never depend on the worker
+    count. A zero frame budget produces rows with empty tallies.
     """
     if not _is_int(workers):
         raise ValueError(f"workers must be an integer, got {workers!r}")
@@ -353,7 +361,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
                 )
             )
             for pi in range(len(cfg.points)):
-                point_reports.append(_run_point(h, code_id, cfg, ci, pi, pool))
+                point_reports.append(_run_point(h, code_id, cfg, ci, pi, pool, workers))
     finally:
         if pool is not None:
             pool.shutdown()

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,22 @@ class TestQuantizer:
         for big in (1e308, 10**400):
             assert sw.quantize_llr(big) == 10000
             assert sw.quantize_llr(-big) == -10000
+
+    def test_numpy_floats_clip_without_a_warning(self):
+        # numpy's own scalar multiply warns when 2**q times these overflows,
+        # and a long double past a float's range is finite all the same
+        big = [np.float64(1e308), np.float32(3e38), np.float16(6e4)]
+        if np.finfo(np.longdouble).maxexp > np.finfo(np.float64).maxexp:
+            big.append(np.longdouble("1e4000"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in big:
+                assert sw.quantize_llr(value) == 10000
+                assert sw.quantize_llr(-value) == -10000
+            assert sw.quantize_llr(np.float32(math.log(9))) == 18
+            for bad in (np.float64(math.nan), np.float16(math.inf), np.longdouble("-inf")):
+                with pytest.raises(ValueError, match="finite real number"):
+                    sw.quantize_llr(bad)
 
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf, None, "x", 1j, True):
@@ -700,11 +717,12 @@ class TestGoldenOutputs:
             ))
         assert md.hexdigest() == GOLDEN["joint"]
 
-    def test_sweep_csv(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_sweep_csv(self, workers):
         cfg = sw.SweepConfig(
             codes=["D1"], points=[(0.04, 0.0), (0.07, 0.01)], frames=24, seed=3003
         )
-        csv = sw.emit_report(sw.run_sweep(cfg, workers=1))
+        csv = sw.emit_report(sw.run_sweep(cfg, workers=workers))
         assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN["sweep-csv"]
 
 

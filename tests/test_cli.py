@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +247,20 @@ class TestSweepCommand:
         main(["sweep", "--config", "cfg.json", "-o", "w1.csv", "--workers", "1"])
         main(["sweep", "--config", "cfg.json", "-o", "w3.csv", "--workers", "3"])
         assert (workdir / "w1.csv").read_bytes() == (workdir / "w3.csv").read_bytes()
+
+    def test_no_warning_reaches_the_cli(self, workdir):
+        cfg = sw.SweepConfig(codes=["D1"], points=[(0.05, 0.0), (0.08, 0.0)], frames=40, seed=4)
+        (workdir / "cfg.json").write_text(cfg.to_json())
+        env = dict(os.environ)
+        src = str(Path(sw.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "swldpc.cli", "sweep", "--config", "cfg.json",
+             "-o", "out.csv", "--workers", "2"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len((workdir / "out.csv").read_text().splitlines()) == 3
 
     def test_bad_config_exits_2(self, workdir):
         (workdir / "cfg.json").write_text('{"codes": [], "points": [], "frames": 1}')

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -196,6 +197,16 @@ class TestDeterminism:
             sw.run_sweep(cfg, workers=np.int64(0))
         assert self._csv(np.int64(2)) == self._csv(1)
 
+    def test_frames_identical_across_worker_counts_when_stopping_mid_chunk(self, backend):
+        # the tenth erroneous frame is frame 40, inside the second 32-frame chunk
+        cfg = sw.SweepConfig(
+            codes=["D1"], points=[(0.07, 0.01)], frames=70, error_frame_target=10,
+            max_local=10, seed=5, record_frames=True,
+        )
+        runs = [sw.run_sweep(cfg, workers=w).points[0].frame_results for w in (1, 2, 3)]
+        assert len(runs[0]) == 41 and runs[0][-1].bit_errors > 0
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_seed_changes_results(self):
         cfg_a = sw.SweepConfig(codes=["D1"], points=[(0.05, 0.01)], frames=10, seed=1)
         cfg_b = sw.SweepConfig(codes=["D1"], points=[(0.05, 0.01)], frames=10, seed=2)
@@ -206,6 +217,49 @@ class TestDeterminism:
         # Same shape, different realized entropies.
         assert pa[0] == pb[0]
         assert pa[4] != pb[4]
+
+
+class _Boom(Exception):
+    pass
+
+
+class TestThreads:
+    """The calling thread draws every frame; the pool threads only decode."""
+
+    CFG = sw.SweepConfig(codes=["D1"], points=[(0.05, 0.0), (0.06, 0.0)], frames=40, seed=7)
+
+    def _record(self, monkeypatch, name):
+        calls = []
+        fn = getattr(sw.sweep, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(sw.sweep, name, wrapper)
+        return calls
+
+    def test_caller_draws_and_workers_decode(self, monkeypatch):
+        drawn = {name: self._record(monkeypatch, name) for name in ("generate_pair", "encode")}
+        decoded = self._record(monkeypatch, "joint_decode")
+        before = threading.active_count()
+        sw.run_sweep(self.CFG, workers=2)
+        assert threading.active_count() == before
+        caller = threading.get_ident()
+        for calls in drawn.values():
+            assert calls == [caller] * 80
+        assert len(decoded) == 80 and caller not in decoded
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_decode_error_propagates_and_threads_end(self, monkeypatch, workers):
+        def boom(*args, **kwargs):
+            raise _Boom("decoder failed")
+
+        monkeypatch.setattr(sw.sweep, "joint_decode", boom)
+        before = threading.active_count()
+        with pytest.raises(_Boom):
+            sw.run_sweep(self.CFG, workers=workers)
+        assert threading.active_count() == before
 
 
 class TestReports:
