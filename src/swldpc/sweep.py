@@ -7,8 +7,8 @@ Wall-clock timing is kept out of the CSV for the same reason; it appears in
 the JSON report only.
 
 The calling thread draws each chunk's frames (source pair and parity), and
-the workers only decode them, one contiguous block each: the draw is many
-short numpy calls, each of which would hand the GIL between threads.
+the workers only decode them, one frame per task: the draw is many short
+numpy calls, each of which would hand the GIL between threads.
 """
 
 from __future__ import annotations
@@ -246,21 +246,18 @@ def _run_point(
     code_index: int,
     point_index: int,
     pool: ThreadPoolExecutor | None,
-    workers: int,
 ) -> PointReport:
     mean_p, delta_p = cfg.points[point_index]
     corr = CorrelationConfig(mean_p=mean_p, delta_p=delta_p)
     design_p = h.design_p if h.design_p is not None else mean_p
     max_global = 1 if cfg.decoder == "non_iterative" else cfg.max_global
 
-    def decode_block(block):
-        return [
-            joint_decode(
-                h, z, pair.y, design_p,
-                max_global=max_global, max_local=cfg.max_local, kernel=cfg.kernel,
-            )
-            for pair, z in block
-        ]
+    def decode_one(drawn):
+        pair, z = drawn
+        return joint_decode(
+            h, z, pair.y, design_p,
+            max_global=max_global, max_local=cfg.max_local, kernel=cfg.kernel,
+        )
 
     run = pool.map if pool is not None else map
     start = time.perf_counter()
@@ -271,9 +268,7 @@ def _run_point(
     while done < cfg.frames and not stopped_early:
         hi = min(done + _CHUNK, cfg.frames)
         drawn = [_draw(h, corr, (cfg.seed, code_index, point_index, fi)) for fi in range(done, hi)]
-        size = -(-len(drawn) // workers)  # one contiguous block per worker
-        blocks = [drawn[i : i + size] for i in range(0, len(drawn), size)]
-        decoded = [res for block in run(decode_block, blocks) for res in block]
+        decoded = list(run(decode_one, drawn))
         for fi, (pair, _), res in zip(range(done, hi), drawn, decoded):
             # scan in frame order so early stop is worker-independent
             fr = FrameResult(
@@ -329,9 +324,9 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     """Run every (code, point) cell of the sweep and aggregate statistics.
 
     The calling thread draws every frame of a chunk in frame order; with
-    workers > 1 the chunk is split into one contiguous block per worker and
-    the blocks are decoded concurrently. Results never depend on the worker
-    count. A zero frame budget produces rows with empty tallies.
+    workers > 1 that many threads decode the chunk's frames concurrently, one
+    frame per task. Results never depend on the worker count. A zero frame
+    budget produces rows with empty tallies.
     """
     if not _is_int(workers):
         raise ValueError(f"workers must be an integer, got {workers!r}")
@@ -361,7 +356,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
                 )
             )
             for pi in range(len(cfg.points)):
-                point_reports.append(_run_point(h, code_id, cfg, ci, pi, pool, workers))
+                point_reports.append(_run_point(h, code_id, cfg, ci, pi, pool))
     finally:
         if pool is not None:
             pool.shutdown()
