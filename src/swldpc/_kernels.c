@@ -17,11 +17,12 @@
  * works and the oracle the tests hold this file to. The file compiles
  * without warnings under -Wall -Wextra -Wconversion -Wsign-conversion.
  *
- * The check pass adds the correction table[min(|a +- b|, tmax)] to min-sum
- * without looking the table up: a non-increasing step table's entry at u is
- * the number of its thresholds T_j = min{u : table[u] < j} above u. The
- * decoder's one table, bp._TABLE at q = 3, has table[0] = 6 such steps, so
- * a fixed count of them keeps the row loop vectorised.
+ * The check pass's one rule is the signed minimum of two messages plus
+ * the correction table[min(|a + b|, tmax)] less table[min(|a - b|, tmax)],
+ * found without looking the table up: a non-increasing step table's entry
+ * at u is the number of its thresholds T_j = min{u : table[u] < j} above
+ * u. The decoder's one table, bp._TABLE at q = 3, has table[0] = 6 such
+ * steps, so a fixed count of them keeps the row loop vectorised.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -65,10 +66,10 @@ static inline int32_t clip(int32_t v, int32_t s_max)
 
 static inline int32_t iabs32(int32_t v) { return v < 0 ? -v : v; }
 
-/* Min-sum rule sign(a) sign(b) min(|a|, |b|): the sign of a ^ b is that
- * product's whenever the minimum is not 0. Branch-free, like everything the
- * row loops call, since message signs are not predictable. */
-static inline int32_t box_minsum(int32_t a, int32_t b)
+/* The signed minimum sign(a) sign(b) min(|a|, |b|): the sign of a ^ b is
+ * that product's whenever the minimum is not 0. Branch-free, like everything
+ * the row loops call, since message signs are not predictable. */
+static inline int32_t box_min(int32_t a, int32_t b)
 {
     int32_t mag = iabs32(a) < iabs32(b) ? iabs32(a) : iabs32(b);
     int32_t neg = -((a ^ b) < 0);
@@ -82,15 +83,12 @@ static inline int32_t box_minsum(int32_t a, int32_t b)
  * keep it vectorised, where a count that varies at run time is slower than
  * the lookup. NTHR is the decoder's table[0], so that no compare is spent
  * on a threshold that counts for nothing. thresholds() writes T_1 ..
- * T_table[0] to thr and zeros after them, which count for no u >= 0, and
- * returns thr; it returns NULL for min-sum. The table must have
- * table[0] <= NTHR, as the decoder's has. */
+ * T_table[0] to thr and zeros after them, which count for no u >= 0. The
+ * table must have table[0] <= NTHR, as the decoder's has. */
 #define NTHR 6
 
-static inline const int32_t *thresholds(const int32_t *table, int32_t *thr)
+static inline void thresholds(const int32_t *table, int32_t *thr)
 {
-    if (!table)
-        return NULL;
     for (int32_t j = 1; j <= NTHR; j++) {
         int32_t u = 0;
         if (j <= table[0])
@@ -98,34 +96,25 @@ static inline const int32_t *thresholds(const int32_t *table, int32_t *thr)
                 u++;
         thr[j - 1] = u;
     }
-    return thr;
 }
 
 /* out[i] = box(a[i], b[i]) for i < m, clipped to s_max when clip_out: the
- * table rule through the thresholds thr when they are given, adding
- * corr(|a+b|) - corr(|a-b|) with corr(u) the count of thresholds above u,
- * else min-sum. The count runs over all NTHR entries; its zero pads add
- * nothing, and no threshold exceeds tmax, so no cap. */
+ * signed minimum plus corr(|a+b|) - corr(|a-b|), with corr(u) the count of
+ * the thresholds thr above u. The count runs over all NTHR entries; its
+ * zero pads add nothing, and no threshold exceeds tmax, so no cap. */
 static inline __attribute__((always_inline)) void
 box_rows(int32_t m, const int32_t *a, const int32_t *b, int32_t *out, const int32_t *thr,
          int32_t s_max, int clip_out)
 {
-    if (thr) {
-        /* out may be a; each iteration reads a[i] and b[i] before it writes
-         * out[i], so the iterations are independent, which GCC cannot prove */
+    /* out may be a; each iteration reads a[i] and b[i] before it writes
+     * out[i], so the iterations are independent, which GCC cannot prove */
 #pragma GCC ivdep
-        for (int32_t i = 0; i < m; i++) {
-            int32_t u = iabs32(a[i] + b[i]), w = iabs32(a[i] - b[i]);
-            int32_t v = box_minsum(a[i], b[i]);
-            for (int32_t j = 0; j < NTHR; j++)
-                v += (u < thr[j]) - (w < thr[j]);
-            out[i] = clip_out ? clip(v, s_max) : v;
-        }
-    } else {
-        for (int32_t i = 0; i < m; i++) {
-            int32_t v = box_minsum(a[i], b[i]);
-            out[i] = clip_out ? clip(v, s_max) : v;
-        }
+    for (int32_t i = 0; i < m; i++) {
+        int32_t u = iabs32(a[i] + b[i]), w = iabs32(a[i] - b[i]);
+        int32_t v = box_min(a[i], b[i]);
+        for (int32_t j = 0; j < NTHR; j++)
+            v += (u < thr[j]) - (w < thr[j]);
+        out[i] = clip_out ? clip(v, s_max) : v;
     }
 }
 
@@ -195,19 +184,20 @@ check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad, const int32_t *thr,
  * (positive favors 1). c2v (d m) holds the starting check-to-variable
  * messages in the padded layout and receives the last round's; the values
  * on pads are never read, since their sums land on the sentinel, whose
- * total is reset. pad is the box-plus identity on pads; table is NULL for
- * min-sum; max_iters is at least 0. Every column holds at most 214,747
- * edges, as the layout comment above says. work is scratch of n + 1 + d m + m
- * int32 values. Outputs the n hard decisions, the clipped posterior (stored sign)
- * and *ok; returns the number of rounds run. */
+ * total is reset. pad is the box-plus identity on pads; table is the
+ * correction table with its trailing zero; max_iters is at least 0. Every
+ * column holds at most 214,747 edges, as the layout comment above says.
+ * work is scratch of n + 1 + d m + m int32 values. Outputs the n hard
+ * decisions, the clipped posterior (stored sign) and *ok; returns the
+ * number of rounds run. */
 VECTOR_CLONES
 int32_t bp_run(int32_t m, int32_t n, int32_t d, const int32_t *cols, const int32_t *llr,
                int32_t s_max, int32_t pad, const int32_t *table, int32_t max_iters,
                int32_t *c2v, int32_t *work, uint8_t *bits, int32_t *posterior, int32_t *ok)
 {
     int32_t *tot = work, *v2c = work + n + 1, *acc = v2c + (int64_t)d * m;
-    int32_t thr_buf[NTHR], iters = 0;
-    const int32_t *thr = thresholds(table, thr_buf);
+    int32_t thr[NTHR], iters = 0;
+    thresholds(table, thr);
     *ok = variable_pass(m, n, d, cols, llr, s_max, pad, c2v, v2c, tot, acc);
     while (!*ok && iters < max_iters) {
         check_pass(m, d, s_max, pad, thr, v2c, c2v, acc);

@@ -130,20 +130,19 @@ def bp_run(dll, h, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
     """Run the whole BP loop in C on the padded edge matrix h.cols.
 
     llr holds the n stored channel values; pad is the box-plus identity the
-    pads hold; table is the correction table with its trailing zero, or None
-    for min-sum; c2v holds the starting messages in the padded layout and
-    receives the last round's; bits (uint8) and posterior receive the hard
-    decisions and the clipped posterior. Every array is C-contiguous,
-    writable and int32 but for bits. Returns (iterations, syndrome_ok).
+    pads hold; table is the correction table with its trailing zero; c2v
+    holds the starting messages in the padded layout and receives the last
+    round's; bits (uint8) and posterior receive the hard decisions and the
+    clipped posterior. Every array is C-contiguous, writable and int32 but
+    for bits. Returns (iterations, syndrome_ok).
     """
     d, m = h.cols.shape
     n = llr.size
     work = np.empty(n + 1 + d * m + m, dtype=np.int32)
     ok = ctypes.c_int32()
     iters = dll.bp_run(
-        m, n, d, _ptr(h.cols), _ptr(llr), s_max, pad,
-        None if table is None else _ptr(table), max_iters, _ptr(c2v), _ptr(work), _ptr(bits),
-        _ptr(posterior), ctypes.byref(ok),
+        m, n, d, _ptr(h.cols), _ptr(llr), s_max, pad, _ptr(table), max_iters, _ptr(c2v),
+        _ptr(work), _ptr(bits), _ptr(posterior), ctypes.byref(ok),
     )
     return iters, bool(ok.value)
 
@@ -153,7 +152,7 @@ class SideInfoPass:
 
     The arguments up to posterior are those of bp._pass_numpy: the matrix
     (any SparseParityMatrix), the checked uint8 arrays y and z, s_max, pad,
-    the table or None, the padded int32 messages c2v, and the output arrays
+    the table, the padded int32 messages c2v, and the output arrays
     bits (uint8) and posterior (int32), all C-contiguous and writable. The
     object keeps them alive, owns the scratch the kernel needs and takes
     their addresses once, so that a call passes only the pass's own values.
@@ -170,9 +169,8 @@ class SideInfoPass:
         self._stats = np.empty(3, dtype=np.int32)
         self._fn = dll.side_info_pass
         self._args = (
-            m, n, h.k, d, _ptr(h.cols), _ptr(y), _ptr(z), s_max, pad,
-            None if table is None else _ptr(table), _ptr(c2v), _ptr(self._work), _ptr(bits),
-            _ptr(posterior), _ptr(self._stats),
+            m, n, h.k, d, _ptr(h.cols), _ptr(y), _ptr(z), s_max, pad, _ptr(table),
+            _ptr(c2v), _ptr(self._work), _ptr(bits), _ptr(posterior), _ptr(self._stats),
         )
 
     def __call__(self, level1, level0, max_iters):

@@ -4,9 +4,9 @@ Log-likelihood ratios are quantized to integers on one fixed grid, scaled
 by 2**DEFAULT_Q and clipped to +-DEFAULT_S_MAX; the convention for stored
 values is that positive favors bit 1.
 Internally the decoder negates everything so that the textbook check-node
-rule applies without degree-dependent sign flips. The check-node kernel is
-selectable: an exact pairwise reduction with a small integer correction
-table (default), or pure min-sum.
+rule applies without degree-dependent sign flips. The check-node rule is
+the sum-product rule's pairwise reduction on that grid: the signed minimum
+of the two inputs plus a small integer correction table.
 
 bp_decode runs BP cold from a given LLR vector. side_info_pass runs one
 pass of the joint decoder on a SideInfoFrame, which holds a frame's side
@@ -47,8 +47,6 @@ __all__ = [
 DEFAULT_Q = 3
 DEFAULT_S_MAX = 10000
 _ITERS_LIMIT = 2**31 - 1  # the compiled loop counts rounds in an int32
-
-KERNELS = ("table", "minsum")
 
 
 @dataclass
@@ -137,11 +135,19 @@ def init_from_side_info(y, z, alpha: float) -> LlrqVector:
     z = as_bit_array(z, np.asarray(z).size, "parity block")
     if not (_is_real(alpha) and abs(alpha) < math.inf):  # an int too large for a float is finite too
         raise ValueError(f"alpha must be a finite real number, got {alpha!r}")
-    values = np.empty(y.size + z.size, dtype=np.int32)
     a = abs(alpha)
-    values[: y.size] = np.where(y, quantize_llr(a), quantize_llr(-a))
+    return LlrqVector(_channel_values(y, z, quantize_llr(a), quantize_llr(-a)), k=int(y.size))
+
+
+def _channel_values(y, z, level1, level0) -> np.ndarray:
+    """The stored channel values of a frame, as int32: level1 where the
+    bit array y is 1 and level0 where it is 0, then +-DEFAULT_S_MAX on the
+    parity bits as the bit array z says. side_info_pass in _kernels.c
+    builds the same values."""
+    values = np.empty(y.size + z.size, dtype=np.int32)
+    values[: y.size] = np.where(y, level1, level0)
     values[y.size :] = np.where(z, DEFAULT_S_MAX, -DEFAULT_S_MAX)
-    return LlrqVector(values, k=int(y.size))
+    return values
 
 
 def hard_syndrome(h: SparseParityMatrix, bits) -> np.ndarray:
@@ -158,16 +164,10 @@ def _box_table(a, b, table, tmax):
     return out
 
 
-def _box_minsum(a, b):
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-
-
-def _bp_setup(h: SparseParityMatrix, kernel: str):
-    """What a BP run on h needs besides h and its channel values: the pad
-    value, the correction table (None for min-sum), zeroed padded messages
-    and empty hard-bit and posterior buffers."""
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+def _bp_setup(h: SparseParityMatrix):
+    """What a BP run on h needs besides h, its channel values and _TABLE:
+    the pad value, zeroed padded messages and empty hard-bit and posterior
+    buffers."""
     # Pads hold a box-plus identity P: box(x, P) == x for every x a scan can
     # hold. Reductions of real messages stay within X = max(s_max, table[0]);
     # P >= X + tmax + 1 keeps |x +- P| > tmax, where no correction applies,
@@ -175,8 +175,7 @@ def _bp_setup(h: SparseParityMatrix, kernel: str):
     # at most table[0] per step. On the fixed grid P = 10023 + 6 d_max.
     tmax = _TABLE.size - 1
     pad = max(DEFAULT_S_MAX, int(_TABLE[0])) + tmax + 1 + h.cols.shape[0] * int(_TABLE[0])
-    return (pad, _TABLE if kernel == "table" else None,
-            np.zeros(h.cols.shape, dtype=np.int32),
+    return (pad, np.zeros(h.cols.shape, dtype=np.int32),
             np.empty(h.n_cols, dtype=np.uint8), np.empty(h.n_cols, dtype=np.int32))
 
 
@@ -191,7 +190,6 @@ def bp_decode(
     h: SparseParityMatrix,
     init: LlrqVector,
     max_local_iters: int = 50,
-    kernel: str = "table",
 ) -> DecodeOutcome:
     """Flooding-schedule decoding with integer messages, from a cold start.
 
@@ -208,14 +206,14 @@ def bp_decode(
     numpy otherwise; both give the same outcome bit for bit.
     """
     _check_iters(max_local_iters, "max_local_iters")
-    pad, table, padded, bits, post = _bp_setup(h, kernel)
+    pad, padded, bits, post = _bp_setup(h)
     if init.values.size != h.n_cols:
         raise ValueError(f"init has {init.values.size} values for n={h.n_cols}")
     dll = _native.lib()
     run = _bp_loop if dll is None else functools.partial(_native.bp_run, dll)
     # _native takes the addresses of writable buffers only
     llr = np.require(init.values, np.int32, "CW")
-    iterations, ok = run(h, llr, DEFAULT_S_MAX, pad, table, max_local_iters, padded, bits, post)
+    iterations, ok = run(h, llr, DEFAULT_S_MAX, pad, _TABLE, max_local_iters, padded, bits, post)
     return DecodeOutcome(
         hard_bits=bits,
         posterior=LlrqVector(post, k=init.k),
@@ -248,11 +246,11 @@ class SideInfoFrame:
     frame is made.
     """
 
-    def __init__(self, h: SparseParityMatrix, y, z, kernel: str = "table"):
+    def __init__(self, h: SparseParityMatrix, y, z):
         z = as_bit_array(z, h.m, "parity block")
         self.y = y = as_bit_array(y, h.k, "side information")
-        pad, table, self.c2v, self.hard_bits, self.posterior = _bp_setup(h, kernel)
-        args = (h, y, z, DEFAULT_S_MAX, pad, table, self.c2v, self.hard_bits, self.posterior)
+        pad, self.c2v, self.hard_bits, self.posterior = _bp_setup(h)
+        args = (h, y, z, DEFAULT_S_MAX, pad, _TABLE, self.c2v, self.hard_bits, self.posterior)
         dll = _native.lib()
         self.run = (
             functools.partial(_pass_numpy, *args) if dll is None
@@ -282,13 +280,10 @@ def _bp_loop(h, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
     are never read, and receives the last round's; bits and posterior receive
     the hard decisions and the clipped posterior (stored sign). Returns
     (iterations, syndrome_ok)."""
-    if table is None:
-        box = _box_minsum
-    else:
-        tmax = table.size - 1
+    tmax = table.size - 1
 
-        def box(a, b):
-            return _box_table(a, b, table, tmax)
+    def box(a, b):
+        return _box_table(a, b, table, tmax)
 
     d_max = h.cols.shape[0]
     pad = np.int32(pad)
@@ -330,9 +325,7 @@ def _bp_loop(h, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
 def _pass_numpy(h, y, z, s_max, pad, table, c2v, bits, posterior, level1, level0, max_iters):
     """side_info_pass in numpy, with _native.SideInfoPass's arguments and results."""
     k = h.k
-    llr = np.empty(bits.size, dtype=np.int32)
-    llr[:k] = np.where(y, level1, level0)
-    llr[k:] = np.where(z, s_max, -s_max)
+    llr = _channel_values(y, z, level1, level0)
     iterations, ok = _bp_loop(h, llr, s_max, pad, table, max_iters, c2v, bits, posterior)
     return (iterations, ok, bool(np.array_equal(bits[k:], z)),
             int(np.count_nonzero(bits[:k] != y)))

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bp import KERNELS
 from .codes import CodeSpec, SparseParityMatrix, build_code, load_alist, save_alist
 from .encoding import encode
 from .joint import joint_decode
@@ -130,9 +129,7 @@ def _cmd_decode(args) -> int:
     failures = 0
     max_global = 1 if args.no_global_iter else args.max_global
     for i, (z, y) in enumerate(zip(z_frames, y_frames)):
-        res = joint_decode(
-            h, z, y, design_p, max_global=max_global, max_local=args.max_local, kernel=args.kernel
-        )
+        res = joint_decode(h, z, y, design_p, max_global=max_global, max_local=args.max_local)
         out[i] = res.x_hat
         if not res.success:
             failures += 1
@@ -231,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--design-p", type=float, default=None, dest="design_p")
     dec.add_argument("--max-global", type=int, default=5)
     dec.add_argument("--max-local", type=int, default=50)
-    dec.add_argument("--kernel", choices=KERNELS, default="table")
     dec.add_argument("--no-global-iter", action="store_true",
                      help="run only the joint loop's first pass, at the design point")
     dec.add_argument("--trace", default=None, help="write per-frame estimate traces as JSON")

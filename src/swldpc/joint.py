@@ -152,7 +152,6 @@ def joint_decode(
     design_p: float,
     max_global: int = 5,
     max_local: int = 50,
-    kernel: str = "table",
 ) -> JointDecodeResult:
     """Decode the source bits from parity z and side information y.
 
@@ -171,7 +170,7 @@ def joint_decode(
     when it decoded, and final_state holds its estimate and the trace of
     every pass. max_global must lie in [1, 2**31 - 1], max_local in [0, 2**31 - 1].
     """
-    frame = SideInfoFrame(h, y, z, kernel)
+    frame = SideInfoFrame(h, y, z)
     _check_two_bits(h.k)
     _check_iters(max_global, "max_global", 1)
     _check_iters(max_local, "max_local")
@@ -211,11 +210,10 @@ def non_iterative_decode(
     y,
     design_p: float,
     max_local: int = 50,
-    kernel: str = "table",
 ) -> JointDecodeResult:
     """The static baseline: joint_decode's first pass, at the design log-odds.
 
     This is the decoder that does not track the correlation. A failed pass
     reports joint_decode's posterior estimate.
     """
-    return joint_decode(h, z, y, design_p, max_global=1, max_local=max_local, kernel=kernel)
+    return joint_decode(h, z, y, design_p, max_global=1, max_local=max_local)

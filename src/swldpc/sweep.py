@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bp import KERNELS, _check_iters
+from .bp import _check_iters
 from .codes import CODE_REGISTRY, SparseParityMatrix, _is_int, _is_real, build_code, load_alist
 from .encoding import encode
 from .joint import joint_decode
@@ -89,7 +89,6 @@ class SweepConfig:
     ber_target: float = 1e-6
     max_local: int = 50
     max_global: int = 5
-    kernel: str = "table"
     decoder: str = "joint"
     seed: int = 0
     build_seed: int = 0
@@ -123,8 +122,6 @@ class SweepConfig:
             raise ValueError("sweep needs at least one code")
         if self.decoder not in ("joint", "non_iterative"):
             raise ValueError(f"decoder must be 'joint' or 'non_iterative', got {self.decoder!r}")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
         _check_iters(self.max_local, "max_local", 1)
         _check_iters(self.max_global, "max_global", 1)
         if self.error_frame_target < 1:
@@ -255,8 +252,7 @@ def _run_point(
     def decode_one(drawn):
         pair, z = drawn
         return joint_decode(
-            h, z, pair.y, design_p,
-            max_global=max_global, max_local=cfg.max_local, kernel=cfg.kernel,
+            h, z, pair.y, design_p, max_global=max_global, max_local=cfg.max_local
         )
 
     run = pool.map if pool is not None else map

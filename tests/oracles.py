@@ -138,7 +138,7 @@ def bp_ref(rows, llr, s_max, table, max_iters, c2v=None):
 
     rows lists each check's column indices; llr holds the stored channel
     values (positive favors bit 1). table holds the correction entries of
-    correction_table_ref (None for min-sum); indices past its end read 0.
+    correction_table_ref; indices past its end read 0.
     Each check sends, on edge t, the clipped box-plus of the forward
     reduction of its messages before t with the backward reduction of those
     after t (the grouping the decoder uses); a check of one edge sends
@@ -153,7 +153,7 @@ def bp_ref(rows, llr, s_max, table, max_iters, c2v=None):
         return (v > 0) - (v < 0)
 
     def corr(u):
-        return table[u] if table is not None and u < len(table) else 0
+        return table[u] if u < len(table) else 0
 
     def box(a, b):
         return sign(a) * sign(b) * min(abs(a), abs(b)) + corr(abs(a + b)) - corr(abs(a - b))

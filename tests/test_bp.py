@@ -14,7 +14,6 @@ from swldpc.bp import (
     DEFAULT_S_MAX,
     SideInfoFrame,
     _TABLE,
-    _box_minsum,
     _box_table,
     _bp_setup,
     side_info_pass,
@@ -157,14 +156,14 @@ class TestLlrqVector:
 
 
 class TestBpDecode:
-    def _decode_with_flips(self, h, flips, p=0.05, max_iters=50, kernel="table"):
+    def _decode_with_flips(self, h, flips, p=0.05, max_iters=50):
         rng = np.random.default_rng(42)
         x = rng.integers(0, 2, h.k).astype(np.uint8)
         y = x.copy()
         y[flips] ^= 1
         z = sw.encode(h, x)
         init = sw.init_from_side_info(y, z, math.log(p / (1 - p)))
-        out = sw.bp_decode(h, init, max_local_iters=max_iters, kernel=kernel)
+        out = sw.bp_decode(h, init, max_local_iters=max_iters)
         return x, out
 
     def test_clean_side_info_exits_at_round_zero(self, desk_code):
@@ -198,25 +197,6 @@ class TestBpDecode:
             out = sw.bp_decode(desk_code, init)
             ok += out.syndrome_ok and np.array_equal(out.hard_bits[: desk_code.k], x)
         assert ok >= 99
-
-    def test_minsum_kernel_decodes(self, desk_code):
-        rng = np.random.default_rng(8)
-        ok = 0
-        for _ in range(30):
-            x = rng.integers(0, 2, desk_code.k).astype(np.uint8)
-            y = (x ^ (rng.random(desk_code.k) < 0.005)).astype(np.uint8)
-            z = sw.encode(desk_code, x)
-            init = sw.init_from_side_info(y, z, math.log(0.005 / 0.995))
-            out = sw.bp_decode(desk_code, init, kernel="minsum")
-            ok += out.syndrome_ok and np.array_equal(out.hard_bits[: desk_code.k], x)
-        assert ok >= 29
-
-    def test_unknown_kernel_rejected(self, toy_code):
-        init = sw.init_from_side_info(
-            np.zeros(toy_code.k, np.uint8), np.zeros(toy_code.n_rows, np.uint8), -2.9
-        )
-        with pytest.raises(ValueError):
-            sw.bp_decode(toy_code, init, kernel="soft")
 
     def test_iteration_cap_and_failure_reporting(self, toy_code):
         # Hopeless side information: decoder must run to the cap and say so.
@@ -345,16 +325,17 @@ def _one_row_code(d):
     return sw.SparseParityMatrix(n_rows=1, n_cols=d, k=d - 1, rows=[list(range(d))])
 
 
-@pytest.mark.parametrize("kernel", ["table", "minsum"])
-def test_pad_is_a_boxplus_identity(kernel):
+@pytest.mark.parametrize("table", [_TABLE], ids=["table"])
+def test_pad_is_a_boxplus_identity(table):
     # A scan reduces a row's pads with each other: left and right start at the
     # pad and take in a further pad at each of a row's up to d_max - 1 pad
     # positions. Each of those values must leave every message unchanged.
-    box = (_box_minsum if kernel == "minsum"
-           else lambda a, b: _box_table(a, b, _TABLE, _TABLE.size - 1))
+    def box(a, b):
+        return _box_table(a, b, table, table.size - 1)
+
     x = np.arange(-DEFAULT_S_MAX, DEFAULT_S_MAX + 1, dtype=np.int32)
     for d_max in range(1, 31):
-        pad, *_ = _bp_setup(_one_row_code(d_max), kernel)
+        pad, *_ = _bp_setup(_one_row_code(d_max))
         pads = np.full_like(x, pad)
         acc = pads
         for _ in range(d_max):
@@ -362,23 +343,21 @@ def test_pad_is_a_boxplus_identity(kernel):
             acc = box(acc, pads)
 
 
-def _on_grid(kernel):
-    """A test id naming the kernel and the decoder's fixed grid, as kernel-q-s_max."""
-    return f"{kernel}-{DEFAULT_Q}-{DEFAULT_S_MAX}"
+# the check rule and the decoder's fixed grid, as rule-q-s_max
+_ON_GRID = f"table-{DEFAULT_Q}-{DEFAULT_S_MAX}"
 
 
 class TestReferenceDecoder:
     """bp_decode and the joint decoder's passes against the unpadded,
     row-by-row decoder of oracles.py."""
 
-    @pytest.mark.parametrize("kernel", ["table", "minsum"], ids=_on_grid)
-    def test_matches_reference(self, backend, toy_code, small_code, ragged_code, kernel):
-        table = correction_table_ref(DEFAULT_Q) if kernel == "table" else None
+    @pytest.mark.parametrize("table", [correction_table_ref(DEFAULT_Q)], ids=[_ON_GRID])
+    def test_matches_reference(self, backend, toy_code, small_code, ragged_code, table):
         cases = [(toy_code, 6), (small_code, 2), (_one_edge_row_code(), 4), (ragged_code, 2)]
         for h, frames in cases:
             for seed in range(frames):
                 _, y, z = _noisy_frame(h, 0.08, seed)
-                frame = SideInfoFrame(h, y, z, kernel)
+                frame = SideInfoFrame(h, y, z)
                 start = None  # a cold pass, then one warm from its messages at another alpha
                 for p in (0.08, 0.03):
                     alpha = math.log(p / (1 - p))
@@ -393,7 +372,7 @@ class TestReferenceDecoder:
                     start = frame.c2v.T[h.valid.T]  # the messages in row order
                     assert start.tolist() == c2v
                     if p == 0.08:
-                        cold = sw.bp_decode(h, init, max_local_iters=12, kernel=kernel)
+                        cold = sw.bp_decode(h, init, max_local_iters=12)
                         assert cold.iterations_used == rounds and cold.syndrome_ok == ok
                         assert cold.hard_bits.tolist() == bits
                         assert cold.posterior.values.tolist() == post
@@ -423,16 +402,14 @@ class TestBackendsAgree:
                 p = 0.03 + 0.04 * f
                 _, y, z = _noisy_frame(h, p, [c, f])
                 inits = [sw.init_from_side_info(y, z, math.log(r / (1 - r))) for r in (0.05, p)]
-                for kernel in ("table", "minsum"):
-                    for iters in (0, 1, 2, 7, 50):
-                        runs = []
-                        for lib in (c_backend, None):  # None: the numpy code
-                            with monkeypatch.context() as mp:
-                                mp.setattr(_native, "_lib", lib)
-                                runs.append([sw.bp_decode(h, init, iters, kernel)
-                                             for init in inits])
-                        for got, want in zip(*runs):
-                            _assert_same_outcome(got, want)
+                for iters in (0, 1, 2, 7, 50):
+                    runs = []
+                    for lib in (c_backend, None):  # None: the numpy code
+                        with monkeypatch.context() as mp:
+                            mp.setattr(_native, "_lib", lib)
+                            runs.append([sw.bp_decode(h, init, iters) for init in inits])
+                    for got, want in zip(*runs):
+                        _assert_same_outcome(got, want)
 
     def test_side_info_passes(self, c_backend, monkeypatch):
         # Three passes per frame that share their messages, as joint_decode
@@ -444,26 +421,25 @@ class TestBackendsAgree:
                 _, y, z = _noisy_frame(h, p, [c, f, 1])
                 if f > 0:  # a corrupted parity block, which BP may overrule
                     z = z ^ (np.arange(h.m) % (f + 2) == 0).astype(np.uint8)
-                for kernel in ("table", "minsum"):
-                    runs = []
-                    for lib in (c_backend, None):  # None: the numpy code
-                        with monkeypatch.context() as mp:
-                            mp.setattr(_native, "_lib", lib)
-                            frame = SideInfoFrame(h, y, z, kernel)
-                        passes = []
-                        for alpha, iters in ((-2.9, 2), (math.log(p / (1 - p)), 7), (-0.4, 0)):
-                            out = side_info_pass(frame, alpha, iters)
-                            bits = frame.hard_bits
-                            assert out.parity_ok == np.array_equal(bits[h.k :], z)
-                            assert out.disagreements == np.count_nonzero(bits[: h.k] != y)
-                            overruled += out.syndrome_ok and not out.parity_ok
-                            passes.append((out, frame.hard_bits.copy(), frame.posterior.copy(),
-                                           frame.c2v[h.valid].copy()))
-                        runs.append(passes)
-                    for got, want in zip(*runs):
-                        assert got[0] == want[0]
-                        for a, b in zip(got[1:], want[1:]):
-                            assert a.dtype == b.dtype and np.array_equal(a, b)
+                runs = []
+                for lib in (c_backend, None):  # None: the numpy code
+                    with monkeypatch.context() as mp:
+                        mp.setattr(_native, "_lib", lib)
+                        frame = SideInfoFrame(h, y, z)
+                    passes = []
+                    for alpha, iters in ((-2.9, 2), (math.log(p / (1 - p)), 7), (-0.4, 0)):
+                        out = side_info_pass(frame, alpha, iters)
+                        bits = frame.hard_bits
+                        assert out.parity_ok == np.array_equal(bits[h.k :], z)
+                        assert out.disagreements == np.count_nonzero(bits[: h.k] != y)
+                        overruled += out.syndrome_ok and not out.parity_ok
+                        passes.append((out, frame.hard_bits.copy(), frame.posterior.copy(),
+                                       frame.c2v[h.valid].copy()))
+                    runs.append(passes)
+                for got, want in zip(*runs):
+                    assert got[0] == want[0]
+                    for a, b in zip(got[1:], want[1:]):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
         assert overruled > 0
 
     @staticmethod
@@ -539,30 +515,29 @@ class TestBackendsAgree:
         y = x.copy()
         y[[3, 50, 99]] ^= 1
         made = []
-        for kernel in ("table", "minsum"):
-            runs = []
-            for lib in (c_backend, None):  # None: the numpy code
-                with monkeypatch.context() as mp:
-                    mp.setattr(_native, "_lib", lib)
-                    self._spy(mp, "SideInfoPass", made)
-                    self._spy(mp, "bp_run", made)
-                    frame = SideInfoFrame(h, y, z, kernel)
-                    passes = []
-                    for alpha, iters in ((-2.9, 3), (-0.4, 2), (1e4, 0)):
-                        out = side_info_pass(frame, alpha, iters)
-                        passes.append((out, frame.hard_bits.copy(), frame.posterior.copy(),
-                                       frame.c2v.copy()))
-                    assert abs(frame.c2v[~h.valid].sum(dtype=np.int64)) > 2**31
-                    init = sw.init_from_side_info(y, z, -2.9)
-                    runs.append((passes, sw.bp_decode(h, init, 4, kernel)))
-            (got, got_cold), (want, want_cold) = runs
-            assert got[0][0].iterations_used == 3 and not got[0][0].syndrome_ok
-            for g, w in zip(got, want):
-                assert g[0] == w[0]
-                for a, b in zip(g[1:], w[1:]):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
-            _assert_same_outcome(got_cold, want_cold)
-        assert made == ["SideInfoPass", "bp_run"] * 2
+        runs = []
+        for lib in (c_backend, None):  # None: the numpy code
+            with monkeypatch.context() as mp:
+                mp.setattr(_native, "_lib", lib)
+                self._spy(mp, "SideInfoPass", made)
+                self._spy(mp, "bp_run", made)
+                frame = SideInfoFrame(h, y, z)
+                passes = []
+                for alpha, iters in ((-2.9, 3), (-0.4, 2), (1e4, 0)):
+                    out = side_info_pass(frame, alpha, iters)
+                    passes.append((out, frame.hard_bits.copy(), frame.posterior.copy(),
+                                   frame.c2v.copy()))
+                assert abs(frame.c2v[~h.valid].sum(dtype=np.int64)) > 2**31
+                init = sw.init_from_side_info(y, z, -2.9)
+                runs.append((passes, sw.bp_decode(h, init, 4)))
+        (got, got_cold), (want, want_cold) = runs
+        assert got[0][0].iterations_used == 3 and not got[0][0].syndrome_ok
+        for g, w in zip(got, want):
+            assert g[0] == w[0]
+            for a, b in zip(g[1:], w[1:]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        _assert_same_outcome(got_cold, want_cold)
+        assert made == ["SideInfoPass", "bp_run"]
 
     def test_encode(self, c_backend, monkeypatch, toy_code, ragged_code):
         rng = np.random.default_rng(4005)
@@ -611,11 +586,8 @@ class TestHardSyndrome:
 # layout replaced the decoder's index arrays; any rewrite must match them.
 GOLDEN = {
     "desk_code-table": "a68cf1855b2b3ec4fa42850dd647e22602552f5c77f90130a8b44a4f90553702",
-    "desk_code-minsum": "61c53e7fafb63d427beed1fdeab7163d0b106c85ea42f8d4a5a3635292802786",
     "irregular_code-table": "266f08d71bd4d845aeb380cddabaabc85ec7489735f01b8c2bc24d68ca2ba95f",
-    "irregular_code-minsum": "ab86c1fb36f5e0167c19f101cab2003a78cc2b6638b1123adda0d6237a8d0e40",
     "small-table": "b0cb170de1c881ed1746bd0c66dfafffa513d2fd80c87bcf5200979c8bbe4135",
-    "small-minsum": "51d6751928f73821b08f5b1d32045afa0fb85cd63fe8358f6bdf24ebef53508b",
     "joint": "ef2dec2281b3f27724fdf0c11aa4226be72a36b383b8aa81228b7a764f4329f0",
     "sweep-csv": "588a0ab0bd982c367f75400643be394ee2b9d5d5720d9a7eb7275be47675aea1",
 }
@@ -640,10 +612,10 @@ def _pass_digest(h, frame, out) -> bytes:
                    frame.c2v.T[h.valid.T])
 
 
-def _assert_cold_run_is_first_pass(h, y, z, alpha, iters, kernel, frame, out):
+def _assert_cold_run_is_first_pass(h, y, z, alpha, iters, frame, out):
     """bp_decode from init_from_side_info(y, z, alpha) equals the first pass
     out on frame, field by field."""
-    cold = sw.bp_decode(h, sw.init_from_side_info(y, z, alpha), iters, kernel)
+    cold = sw.bp_decode(h, sw.init_from_side_info(y, z, alpha), iters)
     assert (cold.iterations_used, cold.syndrome_ok) == (out.iterations_used, out.syndrome_ok)
     assert np.array_equal(cold.hard_bits, frame.hard_bits)
     assert np.array_equal(cold.posterior.values, frame.posterior)
@@ -668,23 +640,23 @@ class TestGoldenOutputs:
         spec = sw.CodeSpec(id="R256", k=256, n=384, dv_target=3.3, design_p=0.05)
         return sw.build_code(spec, seed=5)
 
-    @pytest.mark.parametrize("code", ["desk_code", "irregular_code"])
-    @pytest.mark.parametrize("kernel", ["table", "minsum"])
-    def test_bp_decode_cold_and_warm(self, request, code, kernel):
+    # the ids, like the GOLDEN keys, name the check rule the digests are of
+    @pytest.mark.parametrize("code", ["desk_code", "irregular_code"], ids="table-{}".format)
+    def test_bp_decode_cold_and_warm(self, request, code):
         h = request.getfixturevalue(code)
         md = hashlib.sha256()
         design = math.log(0.05 / 0.95)
         for p, x, y, z in self._frames(h):
-            frame = SideInfoFrame(h, y, z, kernel)
+            frame = SideInfoFrame(h, y, z)
             cold = side_info_pass(frame, design, 12)
-            _assert_cold_run_is_first_pass(h, y, z, design, 12, kernel, frame, cold)
+            _assert_cold_run_is_first_pass(h, y, z, design, 12, frame, cold)
             md.update(_pass_digest(h, frame, cold))
             warm = side_info_pass(frame, math.log(p / (1 - p)), 50)
             md.update(_pass_digest(h, frame, warm))
-        assert md.hexdigest() == GOLDEN[f"{code}-{kernel}"]
+        assert md.hexdigest() == GOLDEN[f"{code}-table"]
 
-    @pytest.mark.parametrize("kernel", ["table", "minsum"])
-    def test_bp_decode_small_random_codes(self, kernel):
+    @pytest.mark.parametrize("key", ["small-table"], ids=["table"])
+    def test_bp_decode_small_random_codes(self, key):
         # Codes of 4 to 39 rows with uneven row weights, stopped after 1, 2
         # and 7 rounds: a pad leaking into a row's parity shows here first.
         rng = np.random.default_rng(2024)
@@ -698,11 +670,11 @@ class TestGoldenOutputs:
             h = sw.build_code(spec, seed=i)
             for p, x, y, z in self._frames(h, every=4):
                 for iters in (1, 2, 7):
-                    frame = SideInfoFrame(h, y, z, kernel)
+                    frame = SideInfoFrame(h, y, z)
                     out = side_info_pass(frame, design, iters)
-                    _assert_cold_run_is_first_pass(h, y, z, design, iters, kernel, frame, out)
+                    _assert_cold_run_is_first_pass(h, y, z, design, iters, frame, out)
                     md.update(_pass_digest(h, frame, out))
-        assert md.hexdigest() == GOLDEN[f"small-{kernel}"]
+        assert md.hexdigest() == GOLDEN[key]
 
     def test_joint_decode(self, desk_code):
         md = hashlib.sha256()

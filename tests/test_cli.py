@@ -220,6 +220,18 @@ class TestEncodeDecode:
         tr = json.loads(runs[0][2])
         assert {f["success"] for f in tr} == {True, False}
 
+    def test_kernel_flag_exits_2(self, workdir, capsys):
+        # BP has one check-node rule, so decode takes no --kernel
+        code = _design(workdir)
+        xp, yp, _ = _simulate(workdir, frames=1)
+        main(["encode", "--code", str(code), "--in", str(xp), "--out", "p.swz"])
+        args = ["decode", "--code", str(code), "--parity", "p.swz", "--side-info", str(yp),
+                "--out", "o.bin"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main([*args, "--kernel", "table"]) == 2
+        assert "--kernel" in capsys.readouterr().err
+
     def test_misaligned_bit_file_exits_2(self, workdir):
         code = _design(workdir)
         (workdir / "short.bin").write_bytes(b"\x00" * 31)  # not a 32-byte frame

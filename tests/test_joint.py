@@ -8,7 +8,6 @@ import pytest
 
 import swldpc as sw
 from swldpc import _native
-from swldpc.bp import DEFAULT_Q, DEFAULT_S_MAX
 from oracles import alpha_ref
 
 
@@ -375,11 +374,6 @@ class TestValidation:
             sw.bp_decode(desk_code, sw.LlrqVector(init.values[:-1]))
 
 
-def _on_grid(kernel):
-    """A test id naming the kernel and the decoder's fixed grid, as kernel-q-s_max."""
-    return f"{kernel}-{DEFAULT_Q}-{DEFAULT_S_MAX}"
-
-
 def _joint_fields(res):
     trace = [dataclasses.astuple(r) for r in res.final_state.trace]
     return (res.x_hat.dtype, res.x_hat.tolist(), res.success, res.global_iters_used,
@@ -415,27 +409,25 @@ class TestBackendsAgree:
             failed_passes += sum(not r.syndrome_ok for r in got.final_state.trace)
         assert failed_passes > 0
 
-    @pytest.mark.parametrize("kernel", ["table", "minsum"], ids=_on_grid)
-    def test_ragged_rows(self, c_backend, monkeypatch, ragged_code, kernel):
+    def test_ragged_rows(self, c_backend, monkeypatch, ragged_code):
         h = ragged_code
         assert sorted(set(h.row_weights().tolist())) == list(range(1, 31))
         for f, p in enumerate(np.linspace(0.005, 0.06, 12)):
             x, y, z = _frame(h, p, seed=[f, 9])
             got, want = self._both(
                 c_backend, monkeypatch,
-                lambda: sw.joint_decode(h, z, y, 0.02, kernel=kernel),
+                lambda: sw.joint_decode(h, z, y, 0.02),
             )
             assert _joint_fields(got) == _joint_fields(want), (f, p)
 
-    @pytest.mark.parametrize("kernel", ["table", "minsum"], ids=_on_grid)
-    def test_non_iterative(self, c_backend, monkeypatch, ragged_code, kernel):
+    def test_non_iterative(self, c_backend, monkeypatch, ragged_code):
         h = ragged_code
         outcomes = set()
         for f, p in enumerate(np.linspace(0.005, 0.08, 16)):
             x, y, z = _frame(h, p, seed=[f, 11])
             got, want = self._both(
                 c_backend, monkeypatch,
-                lambda: sw.non_iterative_decode(h, z, y, 0.02, kernel=kernel),
+                lambda: sw.non_iterative_decode(h, z, y, 0.02),
             )
             assert _joint_fields(got) == _joint_fields(want), (f, p)
             outcomes.add(got.success)

@@ -20,18 +20,18 @@ class TestSweepConfig:
             frames=64,
             error_frame_target=10,
             seed=3,
-            kernel="minsum",
             decoder="non_iterative",
         )
         again = sw.SweepConfig.from_json(cfg.to_json())
         assert again == cfg
 
     def test_unknown_fields_rejected(self):
+        # a config saved while BP had a choice of check rules carries "kernel"
         cfg = sw.SweepConfig(codes=["D1"], points=[(0.02, 0.0)], frames=4)
-        raw = json.loads(cfg.to_json())
-        raw["typo_field"] = 1
-        with pytest.raises(ValueError, match="unknown sweep config fields"):
-            sw.SweepConfig.from_json(json.dumps(raw))
+        for name, value in (("typo_field", 1), ("kernel", "table")):
+            raw = {**json.loads(cfg.to_json()), name: value}
+            with pytest.raises(ValueError, match=rf"unknown sweep config fields: \['{name}'\]"):
+                sw.SweepConfig.from_json(json.dumps(raw))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -41,7 +41,7 @@ class TestSweepConfig:
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=-1),
             dict(codes=["D1"], points=[(0.6, 0.0)], frames=4),
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, decoder="magic"),
-            dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, kernel="magic"),
+            dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, max_global=0),
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, max_local=0),
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, error_frame_target=0),
             dict(codes=["D1"], points=[(0.1, 0.0)], frames=4, seed=-1),
