@@ -1,21 +1,23 @@
-/* Compiled kernels: the belief-propagation loop of bp.bp_decode and of the
- * joint decoder's passes (bp.side_info_pass), systematic encoding, and the
- * whole edge-placement loop of codes.build_code.
+/* Compiled kernels: one pass of the joint decoder (bp.side_info_pass, the
+ * one entry to belief propagation), systematic encoding, and the whole
+ * edge-placement loop of codes.build_code. The library exports these three
+ * functions and nothing else.
  *
  * swldpc._native compiles this file with the system C compiler and calls it
  * through ctypes, which releases the interpreter lock for the length of each
  * call. A joint-decoder pass is one call: it builds the channel values from
  * y, z and two quantized levels, runs the BP loop, and compares the hard
  * decisions with z and y, so that the Python between passes is small and
- * several decoding threads overlap. bp_run is the one BP loop, which
- * side_info_pass calls; it updates the check-to-variable messages in place,
- * in the padded layout below, the only form messages take. Iteration caps
- * reach here checked by bp._check_iters, so they fit an int32_t. Nothing
- * here keeps static state: every buffer is passed in by the caller, so
- * several threads may run the kernels at once. Every function reproduces
- * the numpy code bit for bit; that code is the fallback when no compiler
- * works and the oracle the tests hold this file to. The file compiles
- * without warnings under -Wall -Wextra -Wconversion -Wsign-conversion.
+ * several decoding threads overlap. bp_run is the one BP loop, a static
+ * function that only side_info_pass calls; it updates the check-to-variable
+ * messages in place, in the padded layout below, the only form messages
+ * take. Iteration caps reach here checked by bp._check_iters, so they fit
+ * an int32_t. Nothing here keeps static state: every buffer is passed in by
+ * the caller, so several threads may run the kernels at once. Every
+ * function reproduces the numpy code bit for bit; that code is the fallback
+ * when no compiler works and the oracle the tests hold this file to. The
+ * file compiles without warnings under -Wall -Wextra -Wconversion
+ * -Wsign-conversion.
  *
  * The check pass's one rule is the signed minimum of two messages plus
  * the correction table[min(|a + b|, tmax)] less table[min(|a - b|, tmax)],
@@ -49,7 +51,7 @@
  * rows, whose iterations are independent and which the compiler can
  * vectorise. All arithmetic stays in int32, the column totals included. The
  * grid is fixed at s_max = 10000 with table[0] = 6 and tmax = 22, so
- * bp._bp_setup's pad is 10023 + 6 d_max; a scan value never exceeds the pad
+ * bp._pad's pad is 10023 + 6 d_max; a scan value never exceeds the pad
  * in magnitude, and the pad stays below 2**30, so that |a +- b| of any two
  * values fits, for every row of fewer than 178 million edges. A column's
  * total adds its channel value to one message per edge, each at most s_max
@@ -179,7 +181,7 @@ check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad, const int32_t *thr,
     }
 }
 
-/* Flooding BP for bp.bp_decode and side_info_pass on the padded layout
+/* Flooding BP for side_info_pass, its one caller, on the padded layout
  * (d, m, cols) of an m x n matrix. llr holds the stored channel values
  * (positive favors 1). c2v (d m) holds the starting check-to-variable
  * messages in the padded layout and receives the last round's; the values
@@ -191,9 +193,10 @@ check_pass(int32_t m, int32_t d, int32_t s_max, int32_t pad, const int32_t *thr,
  * decisions, the clipped posterior (stored sign) and *ok; returns the
  * number of rounds run. */
 VECTOR_CLONES
-int32_t bp_run(int32_t m, int32_t n, int32_t d, const int32_t *cols, const int32_t *llr,
-               int32_t s_max, int32_t pad, const int32_t *table, int32_t max_iters,
-               int32_t *c2v, int32_t *work, uint8_t *bits, int32_t *posterior, int32_t *ok)
+static int32_t bp_run(int32_t m, int32_t n, int32_t d, const int32_t *cols,
+                      const int32_t *llr, int32_t s_max, int32_t pad, const int32_t *table,
+                      int32_t max_iters, int32_t *c2v, int32_t *work, uint8_t *bits,
+                      int32_t *posterior, int32_t *ok)
 {
     int32_t *tot = work, *v2c = work + n + 1, *acc = v2c + (int64_t)d * m;
     int32_t thr[NTHR], iters = 0;

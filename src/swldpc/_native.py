@@ -4,23 +4,24 @@ On first use the C file is compiled with the system compiler (cc -O3
 -shared -fPIC, no Python headers) into the package's __pycache__ directory,
 under a name keyed by the hash of the source and the command, and loaded
 with ctypes.CDLL, which releases the interpreter lock for the length of
-every call. The flags name no instruction set: on x86-64 with glibc the
-source asks the compiler for an AVX2 and a baseline build of the BP loop,
-bp_run, which side_info_pass calls, and the loader picks one for the CPU at
-load time (GCC/clang target_clones); both compute in integers and give the
-same bits. When the library cannot be built or loaded, one warning is
-emitted and bp_decode, the joint decoder's passes, encode and build_code
-run their numpy code instead.
+every call. The library exports what _SIGNATURES lists: side_info_pass,
+encode_run and peg_place. The flags name no instruction set: on x86-64
+with glibc the source asks the compiler for an AVX2 and a baseline build
+of the BP loop, a static function of the library that side_info_pass
+calls, and the loader picks one for the CPU at load time (GCC/clang
+target_clones); both compute in integers and give the same bits. When the
+library cannot be built or loaded, one warning is emitted and the joint
+decoder's passes (so bp_decode's too), encode and build_code run their
+numpy code instead.
 
 Each wrapper takes the arguments and returns the results of its numpy
-counterpart: bp_run those of bp._bp_loop, SideInfoPass those of
-bp._pass_numpy, encode those of encoding._encode_numpy and peg_place those
-of codes._place_edges. The kernels read the matrix's int32 column array
-h.cols as it is stored, take the messages in the same padded layout, and
-keep the BP loop's column totals in int32 scratch, exact for every matrix
-SparseParityMatrix accepts, however many pads its layout holds. SideInfoPass
-takes its buffers' addresses once per frame, so that each pass of a joint
-decode is one short ctypes call.
+counterpart: SideInfoPass those of bp._pass_numpy, encode those of
+encoding._encode_numpy and peg_place those of codes._place_edges. The BP
+loop reads the matrix's int32 column array h.cols as it is stored, takes
+the messages in the same padded layout, and keeps its column totals in
+int32 scratch, exact for every matrix SparseParityMatrix accepts, however
+many pads its layout holds. SideInfoPass takes its buffers' addresses once
+per frame, so that each pass of a joint decode is one short ctypes call.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ _lock = threading.Lock()
 _P = ctypes.c_void_p
 _I = ctypes.c_int32
 _SIGNATURES = {  # name: (return type, argument types)
-    "bp_run": (_I, [_I, _I, _I, _P, _P, _I, _I, _P, _I, _P, _P, _P, _P, _P]),
     "side_info_pass": (
         _I, [_I, _I, _I, _I, _P, _P, _P, _I, _I, _P, _P, _P, _P, _P, _P, _I, _I, _I]
     ),
@@ -124,27 +124,6 @@ def _ptr(arr: np.ndarray) -> int:
     """Address of a writable C-contiguous array's data; taken through a ctypes
     buffer, it costs a third of arr.ctypes.data, which adds up per call."""
     return ctypes.addressof(ctypes.c_char.from_buffer(arr))
-
-
-def bp_run(dll, h, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
-    """Run the whole BP loop in C on the padded edge matrix h.cols.
-
-    llr holds the n stored channel values; pad is the box-plus identity the
-    pads hold; table is the correction table with its trailing zero; c2v
-    holds the starting messages in the padded layout and receives the last
-    round's; bits (uint8) and posterior receive the hard decisions and the
-    clipped posterior. Every array is C-contiguous, writable and int32 but
-    for bits. Returns (iterations, syndrome_ok).
-    """
-    d, m = h.cols.shape
-    n = llr.size
-    work = np.empty(n + 1 + d * m + m, dtype=np.int32)
-    ok = ctypes.c_int32()
-    iters = dll.bp_run(
-        m, n, d, _ptr(h.cols), _ptr(llr), s_max, pad, _ptr(table), max_iters, _ptr(c2v),
-        _ptr(work), _ptr(bits), _ptr(posterior), ctypes.byref(ok),
-    )
-    return iters, bool(ok.value)
 
 
 class SideInfoPass:

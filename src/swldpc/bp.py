@@ -8,15 +8,17 @@ rule applies without degree-dependent sign flips. The check-node rule is
 the sum-product rule's pairwise reduction on that grid: the signed minimum
 of the two inputs plus a small integer correction table.
 
-bp_decode runs BP cold from a given LLR vector. side_info_pass runs one
-pass of the joint decoder on a SideInfoFrame, which holds a frame's side
-information and parity and the messages its passes share, and is the one
-way to continue BP from earlier messages; it builds the channel values
-itself. Both go through one BP loop per backend, bp_run in _kernels.c and
-_bp_loop here, which take the same arguments: the code's matrix, the
-messages in its padded edge layout, updated in place, and output buffers
-for the hard bits and the posterior. Messages take no other form: the
-row-major edge order is only that of SparseParityMatrix.rows and the alist.
+BP has one entry: side_info_pass, which runs one pass of the joint decoder
+on a SideInfoFrame. The frame holds a frame's side information and parity
+and the messages its passes share; the first pass starts cold, and later
+ones continue from the messages. The pass builds the channel values from
+y, z and alpha itself. bp_decode is the first pass of a new frame, reported
+as a DecodeOutcome. Each backend has one BP loop, bp_run in _kernels.c and
+_bp_loop here, called only by that backend's pass; both take the code's
+matrix, the messages in its padded edge layout, updated in place, and
+output buffers for the hard bits and the posterior. Messages take no other
+form: the row-major edge order is only that of SparseParityMatrix.rows and
+the alist.
 """
 
 from __future__ import annotations
@@ -100,12 +102,13 @@ def quantize_llr(l: float) -> int:
     raise ValueError(f"LLR must be a finite real number, got {l!r}")
 
 
-def make_correction_table(q: int) -> np.ndarray:
-    """Integer correction term t[u] = round(2**q * ln(1 + exp(-u / 2**q))).
+def make_correction_table() -> np.ndarray:
+    """The decoder's integer correction term on its grid, q = DEFAULT_Q:
+    t[u] = round(2**q * ln(1 + exp(-u / 2**q))).
 
     The table ends at the first zero entry; its length stays within 8 * 2**q.
     """
-    scale = float(2**q)
+    scale = float(2**DEFAULT_Q)
     out = []
     u = 0
     while True:
@@ -114,14 +117,12 @@ def make_correction_table(q: int) -> np.ndarray:
             break
         out.append(val)
         u += 1
-    table = np.asarray(out, dtype=np.int32)
-    assert table.size <= 8 * 2**q
-    return table
+    return np.asarray(out, dtype=np.int32)
 
 
 # the decoder's table, with one trailing zero so clipped lookups land on
 # "no correction"
-_TABLE = np.append(make_correction_table(DEFAULT_Q), np.int32(0))
+_TABLE = np.append(make_correction_table(), np.int32(0))
 
 
 def init_from_side_info(y, z, alpha: float) -> LlrqVector:
@@ -164,19 +165,15 @@ def _box_table(a, b, table, tmax):
     return out
 
 
-def _bp_setup(h: SparseParityMatrix):
-    """What a BP run on h needs besides h, its channel values and _TABLE:
-    the pad value, zeroed padded messages and empty hard-bit and posterior
-    buffers."""
+def _pad(h: SparseParityMatrix) -> int:
+    """The value a BP run on h keeps on its pads, given _TABLE."""
     # Pads hold a box-plus identity P: box(x, P) == x for every x a scan can
     # hold. Reductions of real messages stay within X = max(s_max, table[0]);
     # P >= X + tmax + 1 keeps |x +- P| > tmax, where no correction applies,
     # also after a row's pads are reduced with each other, which lowers P by
     # at most table[0] per step. On the fixed grid P = 10023 + 6 d_max.
     tmax = _TABLE.size - 1
-    pad = max(DEFAULT_S_MAX, int(_TABLE[0])) + tmax + 1 + h.cols.shape[0] * int(_TABLE[0])
-    return (pad, np.zeros(h.cols.shape, dtype=np.int32),
-            np.empty(h.n_cols, dtype=np.uint8), np.empty(h.n_cols, dtype=np.int32))
+    return max(DEFAULT_S_MAX, int(_TABLE[0])) + tmax + 1 + h.cols.shape[0] * int(_TABLE[0])
 
 
 def _check_iters(max_iters: int, name: str, low: int = 0) -> None:
@@ -187,38 +184,28 @@ def _check_iters(max_iters: int, name: str, low: int = 0) -> None:
 
 
 def bp_decode(
-    h: SparseParityMatrix,
-    init: LlrqVector,
-    max_local_iters: int = 50,
+    h: SparseParityMatrix, y, z, alpha: float, max_local_iters: int = 50
 ) -> DecodeOutcome:
-    """Flooding-schedule decoding with integer messages, from a cold start.
+    """Flooding-schedule decoding of side information y and parity block z
+    at the correlation log-odds alpha, from a cold start: the first
+    side_info_pass, of at most max_local_iters rounds, on a new
+    SideInfoFrame(h, y, z), with the frame's hard bits and posterior.
 
-    The run starts from init's channel values alone, with every message
-    zero. Each round updates every check node and then every bit node; hard
-    decisions are bit = 1 iff the posterior is positive (ties resolve to 0).
-    The run stops as soon as the hard decisions satisfy every check, so a
-    clean starting point reports zero iterations. All messages stay within
-    [-DEFAULT_S_MAX, DEFAULT_S_MAX]. max_local_iters caps the rounds and
-    must lie in [0, 2**31 - 1]. To continue BP from earlier messages, run
-    side_info_pass on a SideInfoFrame.
-
-    The loop runs in the compiled kernel when swldpc.backend() is "c" and in
-    numpy otherwise; both give the same outcome bit for bit.
+    The run starts from the channel values of init_from_side_info(y, z,
+    alpha) alone, with every message zero. Each round updates every check
+    node and then every bit node; hard decisions are bit = 1 iff the
+    posterior is positive (ties resolve to 0). The run stops as soon as the
+    hard decisions satisfy every check, so a clean starting point reports
+    zero iterations. To continue BP from the messages, run side_info_pass on
+    a SideInfoFrame.
     """
-    _check_iters(max_local_iters, "max_local_iters")
-    pad, padded, bits, post = _bp_setup(h)
-    if init.values.size != h.n_cols:
-        raise ValueError(f"init has {init.values.size} values for n={h.n_cols}")
-    dll = _native.lib()
-    run = _bp_loop if dll is None else functools.partial(_native.bp_run, dll)
-    # _native takes the addresses of writable buffers only
-    llr = np.require(init.values, np.int32, "CW")
-    iterations, ok = run(h, llr, DEFAULT_S_MAX, pad, _TABLE, max_local_iters, padded, bits, post)
+    frame = SideInfoFrame(h, y, z)
+    out = side_info_pass(frame, alpha, max_local_iters)
     return DecodeOutcome(
-        hard_bits=bits,
-        posterior=LlrqVector(post, k=init.k),
-        iterations_used=iterations,
-        syndrome_ok=ok,
+        hard_bits=frame.hard_bits,
+        posterior=LlrqVector(frame.posterior, k=h.k),
+        iterations_used=out.iterations_used,
+        syndrome_ok=out.syndrome_ok,
     )
 
 
@@ -249,8 +236,11 @@ class SideInfoFrame:
     def __init__(self, h: SparseParityMatrix, y, z):
         z = as_bit_array(z, h.m, "parity block")
         self.y = y = as_bit_array(y, h.k, "side information")
-        pad, self.c2v, self.hard_bits, self.posterior = _bp_setup(h)
-        args = (h, y, z, DEFAULT_S_MAX, pad, _TABLE, self.c2v, self.hard_bits, self.posterior)
+        self.c2v = np.zeros(h.cols.shape, dtype=np.int32)
+        self.hard_bits = np.empty(h.n_cols, dtype=np.uint8)
+        self.posterior = np.empty(h.n_cols, dtype=np.int32)
+        args = (h, y, z, DEFAULT_S_MAX, _pad(h), _TABLE, self.c2v, self.hard_bits,
+                self.posterior)
         dll = _native.lib()
         self.run = (
             functools.partial(_pass_numpy, *args) if dll is None
@@ -275,11 +265,12 @@ def side_info_pass(frame: SideInfoFrame, alpha: float, max_iters: int) -> PassOu
 
 
 def _bp_loop(h, llr, s_max, pad, table, max_iters, c2v, bits, posterior):
-    """The numpy flooding loop, with _native.bp_run's arguments and results.
-    c2v holds the starting messages in the padded layout, whose pad entries
-    are never read, and receives the last round's; bits and posterior receive
-    the hard decisions and the clipped posterior (stored sign). Returns
-    (iterations, syndrome_ok)."""
+    """The numpy flooding loop, with the arguments and results of bp_run in
+    _kernels.c; _pass_numpy is its one caller. c2v holds the starting
+    messages in the padded layout, whose pad entries are never read, and
+    receives the last round's; bits and posterior receive the hard decisions
+    and the clipped posterior (stored sign). Returns (iterations,
+    syndrome_ok)."""
     tmax = table.size - 1
 
     def box(a, b):

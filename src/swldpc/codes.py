@@ -70,6 +70,17 @@ def _is_real(value) -> bool:
     )
 
 
+def _check_design_p(design_p) -> None:
+    """Refuse a design_p that is neither None nor a real number in (0, 0.5),
+    the values an alist header can hold."""
+    if design_p is None:
+        return
+    if not _is_real(design_p):
+        raise ValueError(f"design_p must be a real number, got {design_p!r}")
+    if not 0.0 < design_p < 0.5:  # written so that NaN fails it
+        raise ValueError(f"design_p must lie in (0, 0.5), got {design_p}")
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Geometry and design point of one code.
@@ -100,14 +111,13 @@ class CodeSpec:
             raise ValueError(f"k and n must be integers, got k={self.k!r}, n={self.n!r}")
         if self.k <= 0 or self.n <= self.k:
             raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
-        for name in ("dv_target", "design_p", "dc_target", "rate_x"):
+        for name in ("dv_target", "dc_target", "rate_x"):
             value = getattr(self, name)
             if not (_is_real(value) or (value is None and name != "dv_target")):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(self.dv_target):
             raise ValueError(f"dv_target must be finite, got {self.dv_target}")
-        if self.design_p is not None and not 0.0 < self.design_p < 0.5:
-            raise ValueError(f"design_p must lie in (0, 0.5), got {self.design_p}")
+        _check_design_p(self.design_p)
         # written so that NaN fails it
         if self.rate_x is not None and not abs(self.rate_x - self.exact_rate_x) <= 1e-3:
             raise ValueError(
@@ -192,8 +202,10 @@ class SparseParityMatrix:
     The first k columns are systematic; the trailing n_cols - k columns
     always form the staircase, which guarantees full row rank. The
     constructor takes rows[i], the column indices of row i's ones, and
-    checks them. Instances are treated as immutable once built and may be
-    shared between threads read-only.
+    checks them, and design_p, which is None or lies in (0, 0.5) as in a
+    CodeSpec, so that save_alist writes a file load_alist reads. Instances
+    are treated as immutable once built and may be shared between threads
+    read-only.
     """
 
     def __init__(self, n_rows: int, n_cols: int, k: int, rows, design_p: float | None = None):
@@ -222,6 +234,7 @@ class SparseParityMatrix:
     def _set(self, n_cols, k, cols, design_p) -> None:
         if n_cols > _INT32_MAX:
             raise ValueError(f"n_cols={n_cols} leaves no int32 sentinel column")
+        _check_design_p(design_p)
         self.n_rows, self.n_cols, self.k, self.design_p = cols.shape[1], n_cols, k, design_p
         self.cols = np.ascontiguousarray(cols, dtype=np.int32)
         self.valid = self.cols < n_cols
@@ -609,15 +622,16 @@ def _line_ints(lines: list) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _header_design_p(tok: str) -> float | None:
-    """design_p from the header: 'none', or a float in (0, 0.5) as CodeSpec requires."""
+    """design_p from the header: 'none', or a float that _check_design_p takes."""
     if tok == "none":
         return None
     try:
         p = float(tok)
+        _check_design_p(p)
     except ValueError:
-        p = None
-    if p is None or not 0.0 < p < 0.5:
-        raise AlistFormatError(f"line 1: design_p must be 'none' or lie in (0, 0.5), got {tok!r}")
+        raise AlistFormatError(
+            f"line 1: design_p must be 'none' or lie in (0, 0.5), got {tok!r}"
+        ) from None
     return p
 
 

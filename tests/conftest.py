@@ -28,9 +28,9 @@ def pytest_terminal_summary(terminalreporter, config):
 
 @pytest.fixture()
 def numpy_backend(monkeypatch):
-    """Run all four paths that have compiled code on their numpy code:
-    bp_decode, the passes of a SideInfoFrame made under this fixture (so
-    joint_decode's), build_code and encode."""
+    """Run all three paths that have compiled code on their numpy code:
+    the passes of a SideInfoFrame made under this fixture (so bp_decode's
+    and joint_decode's), build_code and encode."""
     monkeypatch.setattr(_native, "_lib", None)
 
 

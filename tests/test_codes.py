@@ -466,6 +466,24 @@ class TestAlist:
         h = sw.load_alist(io.StringIO(text.replace("design_p=none", "design_p=0.25", 1)))
         assert h.design_p == 0.25
 
+    def test_matrix_holds_only_a_design_p_its_alist_can_store(self):
+        # A matrix took any design_p, and its alist then failed to load
+        # ("abc" failed inside save_alist); the constructor holds it to the
+        # header's rule, with CodeSpec's messages.
+        rows = [[0, 3], [1, 3, 4]]
+        out_of_range = (0.7, 0.5, 0.0, -1.0, float("nan"), float("inf"))
+        not_real = (True, "abc", "0.05")
+        cases = [(p, "lie in") for p in out_of_range] + [(v, "be a real") for v in not_real]
+        for bad, why in cases:
+            with pytest.raises(ValueError, match=f"^design_p must {why}"):
+                sw.SparseParityMatrix(2, 5, 3, rows, design_p=bad)
+        for good in (None, 0.25, np.float32(0.1), np.float64(0.05)):
+            h = sw.SparseParityMatrix(2, 5, 3, rows, design_p=good)
+            buf = io.StringIO()
+            sw.save_alist(h, buf)
+            again = sw.load_alist(io.StringIO(buf.getvalue()))
+            assert again.design_p == (None if good is None else float(good))
+
     @pytest.mark.parametrize("lineno,deg", [(4, "-1"), (4, "3"), (5, "-1"), (5, "6")])
     def test_rejects_degree_outside_line_3_maximum(self, lineno, deg):
         # Line 3 of the tiny code reads "2 5": column degrees lie in 0..2,

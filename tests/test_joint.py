@@ -254,11 +254,11 @@ class TestValidation:
 
     def test_decoders_reject_negative_local_cap(self, desk_code):
         x, y, z = _frame(desk_code, 0.02, seed=3)
-        init = sw.init_from_side_info(y, z, sw.initial_alpha(0.05))
+        alpha = sw.initial_alpha(0.05)
         calls = [
             lambda: sw.joint_decode(desk_code, z, y, design_p=0.05, max_local=-1),
             lambda: sw.non_iterative_decode(desk_code, z, y, design_p=0.05, max_local=-3),
-            lambda: sw.bp_decode(desk_code, init, max_local_iters=-1),
+            lambda: sw.bp_decode(desk_code, y, z, alpha, max_local_iters=-1),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="must be >= 0"):
@@ -271,10 +271,10 @@ class TestValidation:
         # both raise the same ValueError (the compiled call raised a ctypes
         # error, numpy a TypeError).
         x, y, z = _frame(desk_code, 0.02, seed=3)
-        init = sw.init_from_side_info(y, z, sw.initial_alpha(0.05))
+        alpha = sw.initial_alpha(0.05)
         calls = [
-            lambda: sw.bp_decode(desk_code, init, 2.5),
-            lambda: sw.bp_decode(desk_code, init, True),
+            lambda: sw.bp_decode(desk_code, y, z, alpha, 2.5),
+            lambda: sw.bp_decode(desk_code, y, z, alpha, True),
             lambda: sw.joint_decode(desk_code, z, y, design_p=0.05, max_local=2.5),
             lambda: sw.non_iterative_decode(desk_code, z, y, design_p=0.05, max_local=2.5),
             lambda: sw.joint_decode(desk_code, z, y, design_p=0.05, max_global=2.5),
@@ -286,9 +286,9 @@ class TestValidation:
 
     def test_decoders_accept_numpy_integer_caps(self, backend, desk_code):
         x, y, z = _frame(desk_code, 0.06, seed=8)
-        init = sw.init_from_side_info(y, z, sw.initial_alpha(0.05))
-        a = sw.bp_decode(desk_code, init, np.int64(7))
-        b = sw.bp_decode(desk_code, init, 7)
+        alpha = sw.initial_alpha(0.05)
+        a = sw.bp_decode(desk_code, y, z, alpha, np.int64(7))
+        b = sw.bp_decode(desk_code, y, z, alpha, 7)
         assert a.iterations_used == b.iterations_used
         assert np.array_equal(a.posterior.values, b.posterior.values)
         a = sw.joint_decode(desk_code, z, y, design_p=0.05, max_global=np.int32(3),
@@ -318,11 +318,11 @@ class TestValidation:
     def test_decoders_reject_local_cap_above_int32(self, backend, desk_code):
         # the compiled loop counts rounds in an int32; both backends share the bound
         x, y, z = _frame(desk_code, 0.02, seed=3)
-        init = sw.init_from_side_info(y, z, sw.initial_alpha(0.05))
+        alpha = sw.initial_alpha(0.05)
         calls = [
             lambda: sw.joint_decode(desk_code, z, y, design_p=0.05, max_local=2**31),
             lambda: sw.non_iterative_decode(desk_code, z, y, design_p=0.05, max_local=2**40),
-            lambda: sw.bp_decode(desk_code, init, max_local_iters=2**31),
+            lambda: sw.bp_decode(desk_code, y, z, alpha, max_local_iters=2**31),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="<= 2147483647"):
@@ -346,7 +346,7 @@ class TestValidation:
         bad_y, bad_z = y.astype(float), z.astype(float)
         bad_y[7] = bad_z[7] = bad
         alpha = sw.initial_alpha(0.05)
-        post = sw.bp_decode(desk_code, sw.init_from_side_info(y, z, alpha)).posterior
+        post = sw.bp_decode(desk_code, y, z, alpha).posterior
         calls = [
             lambda: sw.init_from_side_info(bad_y, z, alpha),
             lambda: sw.init_from_side_info(y, bad_z, alpha),
@@ -370,8 +370,6 @@ class TestValidation:
             sw.estimate_alpha_posterior(init, y[:1])
         with pytest.raises(ValueError, match="posterior has"):
             sw.estimate_alpha_posterior(sw.LlrqVector(init.values[:10]), y)
-        with pytest.raises(ValueError, match="init has"):
-            sw.bp_decode(desk_code, sw.LlrqVector(init.values[:-1]))
 
 
 def _joint_fields(res):

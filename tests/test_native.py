@@ -51,8 +51,7 @@ def test_missing_compiler_falls_back_to_numpy(tmp_path):
             for _ in range(10):
                 x = rng.integers(0, 2, h.k).astype(np.uint8)
                 y = (x ^ (rng.random(h.k) < 0.02)).astype(np.uint8)
-                init = sw.init_from_side_info(y, sw.encode(h, x), math.log(0.02 / 0.98))
-                out = sw.bp_decode(h, init)
+                out = sw.bp_decode(h, y, sw.encode(h, x), math.log(0.02 / 0.98))
                 decoded += bool(out.syndrome_ok and np.array_equal(out.hard_bits[: h.k], x))
             backend = sw.backend()
         print(json.dumps({
@@ -101,17 +100,17 @@ def test_concurrent_decodes_match_serial(desk_code):
     # More threads than cores, a short switch interval, and decodes that
     # overlap inside the compiled loop: each must equal its serial result.
     rng = np.random.default_rng(77)
-    inits = []
+    frames = []
     for _ in range(24):
         x = rng.integers(0, 2, desk_code.k).astype(np.uint8)
         y = (x ^ (rng.random(desk_code.k) < 0.06)).astype(np.uint8)
-        inits.append(sw.init_from_side_info(y, sw.encode(desk_code, x), -2.94))
-    serial = [sw.bp_decode(desk_code, init) for init in inits]
-    results = [None] * len(inits)
+        frames.append((y, sw.encode(desk_code, x)))
+    serial = [sw.bp_decode(desk_code, y, z, -2.94) for y, z in frames]
+    results = [None] * len(frames)
 
     def work(j):
-        for i in range(j, len(inits), 6):
-            results[i] = sw.bp_decode(desk_code, inits[i])
+        for i in range(j, len(frames), 6):
+            results[i] = sw.bp_decode(desk_code, *frames[i], -2.94)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -212,6 +211,21 @@ def test_loop_helpers_inlined_into_each_clone(c_backend):
     names = {line.split()[-1].split(".")[0] for line in listing.splitlines() if line.strip()}
     assert {"bp_run", "side_info_pass"} <= names
     assert not {"check_pass", "box_rows", "variable_pass"} & names
+
+
+def test_library_exports_exactly_the_wrapped_kernels(c_backend):
+    # The library exports the functions _native gives a signature, and no
+    # other: the BP loop is internal to side_info_pass, so a caller cannot
+    # reach it past the frame's checks of y and z.
+    if not shutil.which("nm"):
+        pytest.skip("nm is not on PATH, so the dynamic symbol table cannot be listed")
+    listed = subprocess.run(["nm", "-D", "--defined-only", str(_native.library_path())],
+                            capture_output=True, text=True, timeout=60)
+    if listed.returncode != 0:
+        pytest.skip(f"nm -D cannot list this library: {listed.stderr.strip()}")
+    # the linker's own symbols (_init, _fini, _edata, ...) begin with an underscore
+    names = {line.split()[-1] for line in listed.stdout.splitlines() if line.strip()}
+    assert {name for name in names if not name.startswith("_")} == set(_native._SIGNATURES)
 
 
 def test_peg_scratch_stays_within_its_stated_size(c_backend):
